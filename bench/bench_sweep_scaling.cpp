@@ -1,18 +1,15 @@
 // Sweep-engine throughput baseline: wall-clock of the fig06 sweep
-// (18 configurations) at jobs=1 vs jobs=hardware_concurrency, plus the
-// replay-cache path (record once into a temp cache, then re-run from it) so
-// future PRs can track sweep throughput on both the live and the replayed
-// path. Also re-checks the determinism contract: parallel rows AND replayed
-// rows must be bit-identical to the serial live rows.
+// (18 configurations) at jobs=1 vs jobs=hardware_concurrency, so future
+// PRs can track sweep throughput. Also re-checks the determinism contract:
+// parallel rows must be bit-identical to the serial rows.
 //
 // A second grid measures the epoch-profile repricer (docs/REPRICE.md): a
-// Hypre sweep over a 6-point LoI axis runs fully simulated and then with
-// `--reprice`-style memoization (one capture per functional key, O(epochs)
-// repricing for the rest), reporting the wall-clock ratio and re-checking
-// byte-identity of the rows.
+// Hypre sweep over a 6-point LoI axis runs fully simulated
+// (`exec.reprice = false`) and then repriced (the default: one capture per
+// functional key, O(epochs) repricing for the rest), reporting the
+// wall-clock ratio and byte-comparing the two runs' written artifacts.
 //
 // Usage: bench_sweep_scaling [--json PATH]
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,23 +36,15 @@ int main(int argc, char** argv) {
   }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
+  // Each timed sweep starts from an empty profile cache, so the second run
+  // simulates rather than re-pricing the first run's captures.
+  core::clear_reprice_cache();
   const auto serial = core::run_scenario(*scenario, {.jobs = 1});
+  core::clear_reprice_cache();
   const auto parallel = core::run_scenario(*scenario, {.jobs = hw});
+  core::clear_reprice_cache();
 
-  // Replay path: record the sweep's traces into a throwaway cache, then
-  // time a serial re-run that replays them (the number comparable to
-  // wall_s_jobs1).
-  namespace fs = std::filesystem;
-  const fs::path cache_dir = fs::temp_directory_path() / "memdis_bench_sweep_cache";
-  fs::remove_all(cache_dir);
-  fs::create_directories(cache_dir);
-  core::set_replay_cache_dir(cache_dir.string());
-  (void)core::run_scenario(*scenario, {.jobs = 1});  // recording pass
-  const auto replayed = core::run_scenario(*scenario, {.jobs = 1});
-  core::set_replay_cache_dir({});
-  fs::remove_all(cache_dir);
-
-  const bool identical = serial.rows_equal(parallel) && serial.rows_equal(replayed);
+  const bool identical = serial.rows_equal(parallel);
   const double speedup = parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds
                                                    : 0.0;
 
@@ -79,17 +68,23 @@ int main(int argc, char** argv) {
   std::unordered_set<std::string> groups;
   for (const auto& point : loi_grid.expand()) groups.insert(point.functional_group_key());
 
-  const bool reprice_was_on = core::reprice_enabled();
-  core::set_reprice_enabled(false);
-  const auto loi_full = core::run_sweep(loi_grid, loi_measure, {.jobs = 1});
+  core::SweepOptions full_sim{.jobs = 1};
+  full_sim.exec.reprice = false;
+  const auto loi_full = core::run_sweep(loi_grid, loi_measure, full_sim);
   core::clear_reprice_cache();
-  core::set_reprice_enabled(true);
   const auto loi_repriced = core::run_sweep(loi_grid, loi_measure, {.jobs = 1});
   const auto reprice_stats = core::reprice_stats();
-  core::set_reprice_enabled(reprice_was_on);
   core::clear_reprice_cache();
 
-  const bool reprice_identical = loi_full.rows_equal(loi_repriced);
+  // The two runs differ in `exec`, so rows_equal (which compares whole
+  // points) cannot judge them; the artifact bytes can.
+  const auto artifacts = [](const core::SweepResult& r) {
+    std::ostringstream os;
+    r.write_csv(os);
+    r.write_json(os);
+    return os.str();
+  };
+  const bool reprice_identical = artifacts(loi_full) == artifacts(loi_repriced);
   const double reprice_speedup =
       loi_repriced.wall_seconds > 0 ? loi_full.wall_seconds / loi_repriced.wall_seconds : 0.0;
 
@@ -99,9 +94,6 @@ int main(int argc, char** argv) {
   t.add_row({"jobs=" + std::to_string(hw), std::to_string(parallel.rows.size()),
              Table::num(parallel.wall_seconds, 3),
              Table::num(static_cast<double>(parallel.rows.size()) / parallel.wall_seconds, 2)});
-  t.add_row({"replay", std::to_string(replayed.rows.size()),
-             Table::num(replayed.wall_seconds, 3),
-             Table::num(static_cast<double>(replayed.rows.size()) / replayed.wall_seconds, 2)});
   t.print(std::cout);
 
   Table rt({"path", "configs", "groups", "wall (s)", "configs/s"});
@@ -117,7 +109,7 @@ int main(int argc, char** argv) {
   rt.print(std::cout);
   std::cout << "\nreprice: " << Table::num(reprice_speedup, 2) << "x over full simulation ("
             << reprice_stats.captures << " capture" << (reprice_stats.captures == 1 ? "" : "s")
-            << " + " << reprice_stats.reprices << " re-priced); rows bit-identical: "
+            << " + " << reprice_stats.reprices << " re-priced); artifacts byte-identical: "
             << (reprice_identical ? "yes" : "NO") << "\n";
   if (hw > 1) {
     std::cout << "\nspeedup: " << Table::num(speedup, 2) << "x on " << hw
@@ -142,8 +134,7 @@ int main(int argc, char** argv) {
        << "  \"configs\": " << serial.rows.size() << ",\n"
        << "  \"hardware_concurrency\": " << hw << ",\n"
        << "  \"wall_s_jobs1\": " << serial.wall_seconds << ",\n"
-       << "  \"wall_s_jobs_hw\": " << parallel.wall_seconds << ",\n"
-       << "  \"wall_s_replay\": " << replayed.wall_seconds << ",\n";
+       << "  \"wall_s_jobs_hw\": " << parallel.wall_seconds << ",\n";
   if (hw > 1) {
     json << "  \"speedup\": " << speedup << ",\n";
   } else {

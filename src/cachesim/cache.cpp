@@ -85,20 +85,6 @@ std::optional<Eviction> SetAssocCache::fill_absent(std::uint64_t addr, bool dirt
   return evicted;
 }
 
-SetAssocCache::Snapshot SetAssocCache::snapshot() const {
-  return Snapshot{tick_, tag_, lru_, flags_};
-}
-
-void SetAssocCache::restore(const Snapshot& s) {
-  expects(s.tag.size() == tag_.size() && s.lru.size() == lru_.size() &&
-              s.flags.size() == flags_.size(),
-          "snapshot restored into a cache of different geometry");
-  tick_ = s.tick;
-  tag_ = s.tag;
-  lru_ = s.lru;
-  flags_ = s.flags;
-}
-
 std::uint64_t SetAssocCache::digest() const {
   std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
   const auto mix = [&h](std::uint64_t v) {

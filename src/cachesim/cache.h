@@ -192,25 +192,14 @@ class SetAssocCache {
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t line_bytes() const { return cfg_.line_bytes; }
 
-  // ---- state snapshot / restore / digest ------------------------------------
-  // The complete observable line state: tag, LRU tick, and flag planes plus
-  // the LRU clock. The per-set MRU hint is deliberately excluded — it only
-  // steers search order (tags are unique within a set), so two states that
-  // differ in hints alone are behaviourally identical. Used by the trace
-  // layer's replay-validation tests to prove a replayed run reconverges on
-  // the live run's exact cache state.
-  struct Snapshot {
-    std::uint64_t tick = 0;
-    std::vector<std::uint64_t> tag;
-    std::vector<std::uint64_t> lru;
-    std::vector<std::uint8_t> flags;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  /// Restores a snapshot taken from a cache of the identical geometry
-  /// (contract violation otherwise).
-  void restore(const Snapshot& s);
-  /// FNV-1a over the snapshot planes — equal digests ⇔ equal observable
-  /// line state.
+  // ---- state digest ----------------------------------------------------------
+  /// FNV-1a over the complete observable line state: the tag, LRU tick,
+  /// and flag planes plus the LRU clock — equal digests ⇔ equal state. The
+  /// per-set MRU hint is deliberately excluded: it only steers search
+  /// order (tags are unique within a set), so two states that differ in
+  /// hints alone are behaviourally identical. The trace layer's
+  /// replay-validation tests use it to prove a replayed run reconverges on
+  /// the live run's exact cache state.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:

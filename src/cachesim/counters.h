@@ -73,10 +73,6 @@ struct HwCounters {
   [[nodiscard]] HwCounters delta_since(const HwCounters& earlier) const;
 
   HwCounters& operator+=(const HwCounters& other);
-
-  /// Adds `n` repetitions of `delta` in one pass — the closed-form update
-  /// behind the engine's steady-state fast-forward.
-  void add_scaled(const HwCounters& delta, std::uint64_t n);
 };
 
 }  // namespace memdis::cachesim

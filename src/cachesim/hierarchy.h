@@ -145,35 +145,6 @@ class CacheHierarchy {
   /// Flushes all dirty lines to DRAM (end-of-run traffic accounting).
   void drain();
 
-  // ---- steady-state fast-forward & replay validation -----------------------
-
-  /// Folds `n` repetitions of a steady epoch's counter delta into the
-  /// counters and advances each level's LRU clock by the accesses that
-  /// level observed per repetition (L1 sees every access, L2 the L1
-  /// misses, L3 the L2 misses). Cache *contents* and prefetcher streams are
-  /// left at their pre-jump state — that residual staleness is the
-  /// fast-forward mode's documented tolerance (docs/TRACE.md); the exact
-  /// path never calls this.
-  void ff_apply(const HwCounters& delta, std::uint64_t n) {
-    counters_.add_scaled(delta, n);
-    const std::uint64_t acc = delta.accesses();
-    l1_.advance_tick(acc * n);
-    l2_.advance_tick((acc - delta.l1_hits) * n);
-    l3_.advance_tick((acc - delta.l1_hits - delta.l2_hits) * n);
-  }
-
-  /// Observable line state of all three levels (trace replay validation).
-  struct Snapshot {
-    SetAssocCache::Snapshot l1, l2, l3;
-  };
-  [[nodiscard]] Snapshot snapshot_caches() const {
-    return Snapshot{l1_.snapshot(), l2_.snapshot(), l3_.snapshot()};
-  }
-  void restore_caches(const Snapshot& s) {
-    l1_.restore(s.l1);
-    l2_.restore(s.l2);
-    l3_.restore(s.l3);
-  }
   /// Combined digest over the three levels' observable state — equal
   /// digests prove a replayed run left the caches bit-identical to live.
   [[nodiscard]] std::uint64_t digest() const {

@@ -12,7 +12,6 @@ namespace memdis::core {
 
 namespace {
 
-std::atomic<bool> g_reprice_enabled{false};
 std::atomic<std::uint64_t> g_captures{0};
 std::atomic<std::uint64_t> g_reprices{0};
 
@@ -23,11 +22,6 @@ std::unordered_map<std::string, std::shared_ptr<const EpochProfile>>& cache() {
 }
 
 }  // namespace
-
-bool reprice_enabled() { return g_reprice_enabled.load(std::memory_order_relaxed); }
-void set_reprice_enabled(bool on) {
-  g_reprice_enabled.store(on, std::memory_order_relaxed);
-}
 
 RepriceStats reprice_stats() {
   return {g_captures.load(std::memory_order_relaxed),

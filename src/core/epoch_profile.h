@@ -26,12 +26,11 @@
 // byte-identical to full simulation for every eligible point — enforced
 // by the determinism suite and the fig06 golden gate. See docs/REPRICE.md.
 //
-// Eligibility is gated exactly like fast-forward: a run opts in only via
-// core::run_workload with repricing enabled, a workload that publishes a
-// functional id, and fast-forward off. Migration runtimes and epoch
-// callbacks never reach run_workload (scenario code builds those engines
-// directly), so ineligible points fall back to full simulation silently
-// and correctly.
+// Repricing is on by default. A run opts in through core::run_workload
+// with RunConfig::exec.reprice set and a workload that publishes a
+// functional id. Migration runtimes and epoch callbacks never reach
+// run_workload (scenario code builds those engines directly), so
+// ineligible points fall back to full simulation silently and correctly.
 #pragma once
 
 #include <memory>
@@ -60,11 +59,6 @@ struct EpochProfile {
   double stall_weight = 1.0;      ///< EngineConfig::stall_weight of the capture
   RunOutput output;               ///< captured full-simulation output
 };
-
-/// Process-wide repricing switch (default off), mirroring the fast-forward
-/// and link-model defaults. `memdis sweep --reprice on|off` sets it.
-[[nodiscard]] bool reprice_enabled();
-void set_reprice_enabled(bool on);
 
 /// Counters since the last clear_reprice_cache(): how many runs captured a
 /// profile vs. were re-priced from one. Bench/test instrumentation.

@@ -50,6 +50,13 @@ memsim::MachineConfig machine_with_spill(const memsim::MachineConfig& machine, d
   return machine.with_capacity_fractions(fractions, footprint_bytes);
 }
 
+sim::EngineConfig engine_config(const ExecOptions& exec) {
+  sim::EngineConfig cfg;
+  cfg.bulk_fast_path = exec.bulk_fast_path;
+  cfg.link_model = exec.link_model;
+  return cfg;
+}
+
 namespace {
 
 /// Full simulation of one configured engine: the reference path every run
@@ -89,7 +96,7 @@ RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
 }  // namespace
 
 RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
-  sim::EngineConfig ecfg;
+  sim::EngineConfig ecfg = engine_config(cfg.exec);
   ecfg.machine = cfg.machine;
   if (cfg.capacity_fractions) {
     ecfg.machine =
@@ -102,18 +109,16 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   ecfg.background_loi = cfg.background_loi;
   ecfg.background_loi_per_tier = cfg.background_loi_per_tier;
   ecfg.loi_schedule = cfg.loi_schedule;
-  ecfg.link_model = cfg.link_model;
 
-  // Epoch-profile memoization (docs/REPRICE.md): when enabled, runs whose
-  // functional half (workload id + shaped machine + hierarchy + prefetch
-  // switch) was already captured are re-priced in O(epochs) under this
-  // config's timing half. Eligibility mirrors fast-forward's gates: the
-  // workload must publish a param-complete functional id, and fast-forward
-  // must be off (its synthesis reads durations — timing — back into
-  // control flow). Engines with migration runtimes or epoch callbacks are
-  // built by scenario code directly and never pass through here, so those
-  // runs fall back to full simulation silently and correctly.
-  if (reprice_enabled() && !sim::fast_forward_default()) {
+  // Epoch-profile memoization (docs/REPRICE.md): unless exec.reprice is
+  // off, runs whose functional half (workload id + shaped machine +
+  // hierarchy + prefetch switch) was already captured are re-priced in
+  // O(epochs) under this config's timing half. The workload must publish
+  // a param-complete functional id. Engines with migration runtimes or
+  // epoch callbacks are built by scenario code directly and never pass
+  // through here, so those runs fall back to full simulation silently and
+  // correctly.
+  if (cfg.exec.reprice) {
     const std::string id = workload.functional_id();
     if (!id.empty()) {
       const std::string key =
@@ -122,7 +127,7 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
       timing.background_loi = cfg.background_loi;
       timing.background_loi_per_tier = cfg.background_loi_per_tier;
       timing.loi_schedule = cfg.loi_schedule;
-      timing.link_model = cfg.link_model;
+      timing.link_model = cfg.exec.link_model;
       if (const auto profile = find_epoch_profile(key)) return reprice(*profile, timing);
       RunOutput out = run_live(workload, ecfg, cfg.prefetch_enabled);
       store_epoch_profile(key, EpochProfile{ecfg.machine, ecfg.stall_weight, out});

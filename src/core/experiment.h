@@ -15,16 +15,38 @@
 
 namespace memdis::core {
 
+/// How runs execute, passed by value from the caller (CLI, sweep, test)
+/// down to every engine a run builds. `bulk_fast_path` and `reprice`
+/// choose between paths whose artifacts are byte-identical: the range
+/// API's batched fast path vs. its element-wise decomposition, and
+/// epoch-profile repricing (core/epoch_profile.h) vs. full simulation.
+/// The `false` settings are the reference paths the determinism suite
+/// compares against. `link_model` picks the fabric contention model (see
+/// sim::EngineConfig::link_model), which is part of what is simulated.
+struct ExecOptions {
+  bool bulk_fast_path = true;
+  bool reprice = true;
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
+
+  [[nodiscard]] bool operator==(const ExecOptions&) const = default;
+};
+
+/// A default engine config with `exec`'s engine-level options (bulk fast
+/// path, link model) applied — the one place ExecOptions maps onto
+/// sim::EngineConfig, for run_workload and for code that builds engines
+/// directly.
+[[nodiscard]] sim::EngineConfig engine_config(const ExecOptions& exec);
+
 /// Configuration of one profiled run.
 ///
 /// Fields partition into a *functional* half — machine (and the capacity
 /// shaping applied to it), hierarchy, prefetch_enabled: everything that
 /// determines the access stream and cache-state evolution — and a *timing*
 /// half — background_loi, background_loi_per_tier, loi_schedule,
-/// link_model: everything that only changes what the links charge. The
-/// epoch-profile repricer (core/epoch_profile.h, `memdis sweep --reprice`)
-/// exploits the split: one full simulation per functional key, O(epochs)
-/// repricing for every timing variation of it. Keep new fields on the
+/// exec.link_model: everything that only changes what the links charge.
+/// The epoch-profile repricer (core/epoch_profile.h, on unless
+/// `exec.reprice` is false) exploits the split: one full simulation per
+/// functional key, O(epochs) repricing for every timing variation of it. Keep new fields on the
 /// right side of that line (a field that feeds back into placement or
 /// cache state is functional and must join functional_key()).
 struct RunConfig {
@@ -48,10 +70,8 @@ struct RunConfig {
   /// generalization of remote_capacity_ratio for spill-chain experiments.
   /// Takes precedence over remote_capacity_ratio when both are set.
   std::optional<std::vector<double>> capacity_fractions;
-  /// Fabric link contention model (see sim::EngineConfig::link_model):
-  /// `kLoi` is the closed form, `kQueue` the two-class queue model. Follows
-  /// the process-wide default, which `memdis --link-model` overrides.
-  memsim::LinkModelKind link_model = sim::link_model_default();
+  /// Execution options; run_workload copies them into the engine config.
+  ExecOptions exec{};
 };
 
 /// Everything captured from one run.

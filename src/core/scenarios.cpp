@@ -364,6 +364,7 @@ void summarize_fig12(const SweepResult& result, std::ostream& os) {
 std::vector<Metric> measure_ext_cxl(const SweepPoint& point) {
   RunConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
+  cfg.exec = point.exec;
 
   auto wl_local = point.make_workload();
   const auto local = run_workload(*wl_local, cfg);
@@ -417,7 +418,7 @@ std::optional<memsim::MemPolicy> policy_of(const std::string& variant) {
 
 std::vector<Metric> measure_ext_interleave(const SweepPoint& point) {
   auto wl = point.make_workload();
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = engine_config(point.exec);
   cfg.machine = machine_for_fabric(point.fabric);
   cfg.default_policy_override = policy_of(point.variant);
   sim::Engine eng(cfg);
@@ -466,6 +467,7 @@ void summarize_ext_interleave(const SweepResult& result, std::ostream& os) {
 RunConfig spill_chain_config(const SweepPoint& point) {
   RunConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
+  cfg.exec = point.exec;
   const auto fractions = spill_capacity_fractions(cfg.machine, point.ratio);
   if (!fractions.empty()) {
     cfg.capacity_fractions = fractions;
@@ -527,6 +529,7 @@ void summarize_ext_three_tier(const SweepResult& result, std::ostream& os) {
 std::vector<Metric> measure_ext_hybrid(const SweepPoint& point) {
   RunConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
+  cfg.exec = point.exec;
 
   auto wl_local = point.make_workload();
   const auto local = run_workload(*wl_local, cfg);
@@ -583,7 +586,7 @@ struct StagedRun {
 
 StagedRun run_with_planner(const SweepPoint& point, bool allow_staging) {
   auto wl = point.make_workload();
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = engine_config(point.exec);
   const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
   cfg.machine =
       machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
@@ -680,7 +683,7 @@ struct TransientRun {
 TransientRun run_under_wave(const SweepPoint& point, const memsim::LoiSchedule& schedule,
                             std::vector<double> assumed_loi) {
   auto wl = point.make_workload();
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = engine_config(point.exec);
   const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
   cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
   cfg.loi_schedule = schedule;
@@ -775,7 +778,7 @@ struct ContentionRun {
 ContentionRun run_queue_contention(const SweepPoint& point, std::uint64_t scan_period,
                                    bool defer) {
   auto wl = point.make_workload();
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = engine_config(point.exec);
   const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
   cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
   cfg.link_model = memsim::LinkModelKind::kQueue;  // the model under study

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include <mutex>
 #include <unordered_set>
 
 #include "common/artifact_format.h"
@@ -18,8 +17,6 @@
 #include "common/csv.h"
 #include "common/parallel_for.h"
 #include "common/rng.h"
-#include "core/epoch_profile.h"
-#include "trace/trace_workload.h"
 
 namespace memdis::core {
 // format_double / json_escape come from common/artifact_format.h: the
@@ -50,32 +47,17 @@ RunConfig SweepPoint::run_config() const {
   rc.background_loi = loi;
   rc.prefetch_enabled = prefetch;
   if (ratio != kNodeOnly) rc.remote_capacity_ratio = ratio;
+  rc.exec = exec;
   return rc;
 }
 
-namespace {
-std::mutex g_replay_cache_mutex;
-std::string g_replay_cache_dir;  // guarded by g_replay_cache_mutex
-}  // namespace
-
-std::string replay_cache_dir() {
-  const std::lock_guard<std::mutex> lock(g_replay_cache_mutex);
-  return g_replay_cache_dir;
-}
-
-void set_replay_cache_dir(std::string dir) {
-  const std::lock_guard<std::mutex> lock(g_replay_cache_mutex);
-  g_replay_cache_dir = std::move(dir);
-}
-
 std::unique_ptr<workloads::Workload> SweepPoint::make_workload() const {
-  const std::string cache = replay_cache_dir();
-  if (!cache.empty()) return trace::make_cached_workload(cache, app, scale, seed);
   return workloads::make_workload(app, scale, seed);
 }
 
 std::string SweepPoint::functional_group_key() const {
-  // Everything but `loi` (the timing axis) and `index` (the row slot).
+  // Everything but `loi` (the timing axis), `index` (the row slot), and
+  // `exec` (how the point runs, not what it simulates).
   // Coarser than core::functional_key — that one sees the actual workload
   // parameters and shaped machine — but grouping only schedules waves;
   // the repricer's own key decides what is actually reused.
@@ -227,7 +209,8 @@ bool SweepResult::rows_equal(const SweepResult& other) const {
 SweepResult run_sweep(const SweepSpec& spec, const MeasureFn& measure,
                       const SweepOptions& options) {
   expects(static_cast<bool>(measure), "run_sweep requires a measure function");
-  const auto points = spec.expand();
+  auto points = spec.expand();
+  for (auto& p : points) p.exec = options.exec;
   SweepResult result;
   result.rows.resize(points.size());
   const auto t0 = std::chrono::steady_clock::now();
@@ -235,7 +218,7 @@ SweepResult run_sweep(const SweepSpec& spec, const MeasureFn& measure,
     result.rows[i].point = points[i];
     result.rows[i].metrics = measure(points[i]);
   };
-  if (reprice_enabled() && points.size() > 1) {
+  if (options.exec.reprice && points.size() > 1) {
     // Two waves: the first point of each functional group runs (and, for
     // eligible measures, captures its epoch profile) before the rest of
     // the group re-prices from it. Purely a scheduling optimization —

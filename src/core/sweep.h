@@ -40,16 +40,6 @@ inline constexpr double kNodeOnly = -1.0;
 /// All registered topology preset names, in CLI listing order.
 [[nodiscard]] const std::vector<std::string>& topology_preset_names();
 
-/// Process-wide replay-cache directory (`memdis sweep --replay-cache DIR`).
-/// When non-empty, SweepPoint::make_workload routes every (app, scale, seed)
-/// key through trace::make_cached_workload: the first task to need a key
-/// records its access trace into DIR, every later task replays it through
-/// the engine's bulk fast path. Artifacts are byte-identical either way —
-/// the cache only changes how the call stream is produced, never its
-/// contents. Empty (the default) means live workloads.
-[[nodiscard]] std::string replay_cache_dir();
-void set_replay_cache_dir(std::string dir);
-
 /// One expanded grid point == one task. Everything a measure function may
 /// depend on is captured here, including the derived per-task seed.
 struct SweepPoint {
@@ -62,17 +52,23 @@ struct SweepPoint {
   bool prefetch = true;
   std::string variant;        ///< scenario-specific knob (e.g. BFS variant)
   std::uint64_t seed = 0;     ///< per-task RNG seed (deterministic)
+  /// Execution options, copied from SweepOptions by run_sweep. Not a grid
+  /// axis: never written to artifacts and not part of the group key.
+  /// Measure functions that build a sim::EngineConfig themselves read it
+  /// from here.
+  ExecOptions exec{};
 
   /// RunConfig for this point: machine preset for `fabric`, the capacity
-  /// ratio (unless kNodeOnly), background LoI, and the prefetch switch.
+  /// ratio (unless kNodeOnly), background LoI, the prefetch switch, and
+  /// `exec`.
   [[nodiscard]] RunConfig run_config() const;
   /// Workload instance for this point, seeded with the per-task seed.
   [[nodiscard]] std::unique_ptr<workloads::Workload> make_workload() const;
 
   /// Groups grid points that share a functional half (everything except
-  /// `loi`, the grid's timing axis — and `index`, the row slot). When
-  /// repricing is on, run_sweep schedules one capture per group before the
-  /// rest of the group re-prices (see core/epoch_profile.h).
+  /// `loi`, the grid's timing axis — `index`, the row slot — and `exec`).
+  /// When repricing is on, run_sweep schedules one capture per group before
+  /// the rest of the group re-prices (see core/epoch_profile.h).
   [[nodiscard]] std::string functional_group_key() const;
 
   /// Memberwise equality over *all* fields — defaulted, so a new field can
@@ -146,12 +142,13 @@ struct SweepResult {
 };
 
 struct SweepOptions {
-  unsigned jobs = 1;  ///< worker threads; 0 = hardware_concurrency()
+  unsigned jobs = 1;    ///< worker threads; 0 = hardware_concurrency()
+  ExecOptions exec{};  ///< copied into every SweepPoint
 };
 
 /// Expands `spec` and runs `measure` over every point on a thread pool.
-/// When repricing is enabled (core/epoch_profile.h), tasks run in two
-/// waves — one leader per functional group first, then the followers — so
+/// When `options.exec.reprice` is on (core/epoch_profile.h), tasks run in
+/// two waves — one leader per functional group first, then the followers — so
 /// each group's capture exists before its re-prices ask for it. Results
 /// are independent of the scheduling either way (the determinism
 /// contract), waves only avoid redundant captures.

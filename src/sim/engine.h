@@ -48,24 +48,6 @@
 
 namespace memdis::sim {
 
-/// Process-wide default for EngineConfig::bulk_fast_path. The determinism
-/// tests flip this to run whole scenarios through the element-wise
-/// reference decomposition of the range API.
-[[nodiscard]] bool bulk_fast_path_default();
-void set_bulk_fast_path_default(bool on);
-
-/// Process-wide default for EngineConfig::link_model (kLoi unless
-/// overridden). The determinism tests flip this to re-run whole scenarios
-/// under the queue model and byte-compare against the closed form.
-[[nodiscard]] memsim::LinkModelKind link_model_default();
-void set_link_model_default(memsim::LinkModelKind kind);
-
-/// Process-wide default for EngineConfig::fast_forward (off unless
-/// overridden — the bit-exact path is the golden gate). The CLI flips this
-/// via `--fast-forward on`.
-[[nodiscard]] bool fast_forward_default();
-void set_fast_forward_default(bool on);
-
 /// One lane of an interleaved multi-stream sweep (Engine::stream_range).
 /// Lives at namespace scope so the trace layer can serialize lanes without
 /// depending on the Engine definition; Engine::StreamLane aliases it.
@@ -138,19 +120,12 @@ struct EngineConfig {
   /// When false, every range/strided/paired call decomposes into the
   /// element-wise loop it documents (bit-identical, slower) — the reference
   /// path for the fast-path correctness gate.
-  bool bulk_fast_path = bulk_fast_path_default();
+  bool bulk_fast_path = true;
   /// Which per-link delay model runs. `kLoi` (the default) is the closed
   /// form under configured background LoI only, bit-identical to the
   /// pre-queue engine. `kQueue` partitions each link's traffic into demand
   /// and bulk classes that inflate each other's delay (queue_model.h).
-  memsim::LinkModelKind link_model = link_model_default();
-  /// Steady-state fast-forward: when a long stream_range call settles into
-  /// epochs with identical counter deltas and identical epoch records, the
-  /// remaining repetitions are advanced in closed form (counters, epoch
-  /// records, LRU clocks) instead of simulating every line. Off by default:
-  /// the bit-exact path is the golden gate; fast-forwarded results are
-  /// tolerance-gated (≤0.1% on epoch totals — docs/TRACE.md).
-  bool fast_forward = fast_forward_default();
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
 };
 
 /// Timing outputs of the per-epoch cost model: everything in an EpochRecord
@@ -443,11 +418,6 @@ class Engine {
   /// when detached.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
-  /// Epochs synthesized in closed form by the steady-state fast-forward
-  /// pass (0 unless cfg.fast_forward fired; the tolerance tests assert it
-  /// actually engaged).
-  [[nodiscard]] std::uint64_t fast_forwarded_epochs() const { return ff_skipped_epochs_; }
-
  private:
   /// Per-batch counter accumulator for L1-hit runs; flushed into the
   /// hierarchy's HwCounters before any epoch can close and at batch end.
@@ -523,14 +493,6 @@ class Engine {
   /// Re-evaluates the LoI schedule for epoch `epoch` onto the links.
   void apply_loi_schedule(std::uint64_t epoch);
 
-  /// True when the engine state admits closed-form epoch synthesis: static
-  /// links, no epoch callback, no migration charges in flight.
-  [[nodiscard]] bool ff_eligible() const;
-  /// Appends `n` copies of the last epoch record (advancing start times),
-  /// folds `n * delta` into the hardware counters and LRU clocks, and
-  /// shifts the epoch baseline so the live partial epoch stays exact.
-  void ff_synthesize(const cachesim::HwCounters& delta, std::uint64_t n);
-
   EngineConfig cfg_;
   memsim::TieredMemory memory_;
   /// Per-tier link models, indexed by TierId; nullopt for local tiers.
@@ -575,7 +537,6 @@ class Engine {
   bool finished_ = false;
 
   TraceSink* trace_sink_ = nullptr;
-  std::uint64_t ff_skipped_epochs_ = 0;
 
   std::vector<EpochRecord> epochs_;
   std::vector<PhaseRecord> phases_;

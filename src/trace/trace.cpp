@@ -62,6 +62,23 @@ struct ByteReader {
     fail = true;  // varint longer than 64 bits
     return 0;
   }
+  /// Element count of a length-prefixed sequence. Every element costs at
+  /// least one payload byte, so a count above the bytes left is corrupt —
+  /// rejected before anything is sized from it.
+  std::size_t count() {
+    const std::uint64_t n = varint();
+    if (fail || n > static_cast<std::uint64_t>(end - p)) {
+      fail = true;
+      return 0;
+    }
+    return static_cast<std::size_t>(n);
+  }
+  /// An enum byte no greater than `max`, the enum's last enumerator.
+  std::uint8_t enum_u8(std::uint8_t max) {
+    const std::uint8_t v = u8();
+    if (v > max) fail = true;
+    return fail ? 0 : v;
+  }
   std::uint64_t u64le() {
     if (end - p < 8) {
       fail = true;
@@ -93,8 +110,7 @@ constexpr std::uint64_t kMaxStride = 1ULL << 47;
 // ---- TraceData --------------------------------------------------------------
 
 void TraceData::save(const std::string& path) const {
-  std::vector<std::uint8_t> head;
-  head.insert(head.end(), kTraceMagic, kTraceMagic + 4);
+  std::vector<std::uint8_t> head(kTraceMagic, kTraceMagic + 4);
   head.push_back(static_cast<std::uint8_t>(kTraceVersion & 0xff));
   head.push_back(static_cast<std::uint8_t>(kTraceVersion >> 8));
   append_varint(head, static_cast<std::uint64_t>(scale));
@@ -203,9 +219,10 @@ bool TraceCursor::next(TraceRecord& rec) {
       break;
     case TraceOp::kAlloc:
       rec.a = r.varint();
-      rec.policy.kind = static_cast<memsim::PlacementKind>(r.u8());
+      rec.policy.kind = static_cast<memsim::PlacementKind>(
+          r.enum_u8(static_cast<std::uint8_t>(memsim::PlacementKind::kPreferred)));
       rec.policy.target = static_cast<memsim::TierId>(r.varint());
-      rec.policy.weights.assign(r.varint(), 0);
+      rec.policy.weights.assign(r.count(), 0);
       for (auto& w : rec.policy.weights) w = static_cast<std::uint32_t>(r.varint());
       rec.text = r.str();
       rec.b = read_addr();
@@ -245,9 +262,11 @@ bool TraceCursor::next(TraceRecord& rec) {
       rec.c = r.varint();
       break;
     case TraceOp::kStream: {
-      rec.lanes.assign(r.varint(), sim::StreamLane{});
+      rec.lanes.assign(r.count(), sim::StreamLane{});
       for (auto& ln : rec.lanes) {
-        ln.op = static_cast<sim::StreamLane::Op>(r.u8());
+        ln.op = static_cast<sim::StreamLane::Op>(
+            r.enum_u8(static_cast<std::uint8_t>(sim::StreamLane::Op::kFlops)));
+        if (r.fail) break;
         if (ln.op == sim::StreamLane::Op::kFlops) {
           ln.base = r.varint();
           ln.stride = 0;

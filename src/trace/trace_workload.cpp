@@ -1,6 +1,5 @@
 #include "trace/trace_workload.h"
 
-#include <filesystem>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -144,31 +143,6 @@ workloads::WorkloadResult TraceReplayWorkload::run(sim::Engine& eng) {
   result.residual = data_.residual;
   result.detail = data_.detail;
   return result;
-}
-
-std::string trace_cache_path(const std::string& dir, workloads::App app, int scale,
-                             std::uint64_t seed) {
-  return dir + "/" + workloads::app_name(app) + "_s" + std::to_string(scale) + "_" +
-         std::to_string(seed) + ".mdtr";
-}
-
-std::unique_ptr<workloads::Workload> make_cached_workload(const std::string& dir,
-                                                          workloads::App app, int scale,
-                                                          std::uint64_t seed) {
-  const std::string path = trace_cache_path(dir, app, scale, seed);
-  if (std::filesystem::exists(path)) {
-    std::string error;
-    auto data = TraceData::load(path, error);
-    if (!data) throw std::runtime_error("replay cache: " + error);
-    auto replay = std::make_unique<TraceReplayWorkload>(std::move(*data));
-    // Replay is bit-identical to the live run of this key (TRACE.md), so it
-    // inherits the live workload's functional id — workload construction
-    // only stores parameters, so building one here is free.
-    replay->set_functional_id(workloads::make_workload(app, scale, seed)->functional_id());
-    return replay;
-  }
-  return std::make_unique<TraceRecordWorkload>(workloads::make_workload(app, scale, seed),
-                                               workloads::app_name(app), scale, seed, path);
 }
 
 }  // namespace memdis::trace

@@ -6,99 +6,60 @@
 // golden run cannot catch.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/simd.h"
 #include "core/epoch_profile.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
-#include "sim/engine.h"
 
 namespace memdis {
 namespace {
-
-/// Scoped override of the engine-wide bulk-fast-path default: everything
-/// run inside the scope decomposes range calls into the element-wise
-/// reference loops.
-class ScopedElementWise {
- public:
-  ScopedElementWise() : saved_(sim::bulk_fast_path_default()) {
-    sim::set_bulk_fast_path_default(false);
-  }
-  ~ScopedElementWise() { sim::set_bulk_fast_path_default(saved_); }
-  ScopedElementWise(const ScopedElementWise&) = delete;
-  ScopedElementWise& operator=(const ScopedElementWise&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// Scoped override of the engine-wide link-model default: everything run
-/// inside the scope prices fabric links with the chosen model (unless a
-/// scenario pins one explicitly, as ext-queue-contention does).
-class ScopedLinkModel {
- public:
-  explicit ScopedLinkModel(memsim::LinkModelKind kind) : saved_(sim::link_model_default()) {
-    sim::set_link_model_default(kind);
-  }
-  ~ScopedLinkModel() { sim::set_link_model_default(saved_); }
-  ScopedLinkModel(const ScopedLinkModel&) = delete;
-  ScopedLinkModel& operator=(const ScopedLinkModel&) = delete;
-
- private:
-  memsim::LinkModelKind saved_;
-};
-
-/// Scoped replay cache rooted in a fresh per-test directory: sweeps inside
-/// the scope record each (app, scale, seed) stream on first use and replay
-/// it afterwards. The directory and the process-wide setting are torn down
-/// on exit.
-class ScopedReplayCache {
- public:
-  explicit ScopedReplayCache(const std::string& tag)
-      : dir_(std::filesystem::path(::testing::TempDir()) / ("memdis_replay_" + tag)) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    core::set_replay_cache_dir(dir_.string());
-  }
-  ~ScopedReplayCache() {
-    core::set_replay_cache_dir({});
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  ScopedReplayCache(const ScopedReplayCache&) = delete;
-  ScopedReplayCache& operator=(const ScopedReplayCache&) = delete;
-
-  [[nodiscard]] std::size_t trace_files() const {
-    std::size_t n = 0;
-    for (const auto& e : std::filesystem::directory_iterator(dir_))
-      if (e.path().extension() == ".mdtr") ++n;
-    return n;
-  }
-
- private:
-  std::filesystem::path dir_;
-};
 
 struct Artifacts {
   std::string csv;
   std::string json;
 };
 
-Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs) {
-  const auto* scenario = core::ScenarioRegistry::instance().find(scenario_name);
-  EXPECT_NE(scenario, nullptr) << scenario_name;
-  core::SweepOptions options;
-  options.jobs = jobs;
-  const auto result = core::run_scenario(*scenario, options);
+Artifacts artifacts_of(const core::SweepResult& result) {
   Artifacts out;
   std::ostringstream csv, json;
   result.write_csv(csv);
   result.write_json(json);
   out.csv = csv.str();
   out.json = json.str();
+  return out;
+}
+
+Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs,
+                       const core::ExecOptions& exec = {}) {
+  const auto* scenario = core::ScenarioRegistry::instance().find(scenario_name);
+  EXPECT_NE(scenario, nullptr) << scenario_name;
+  core::SweepOptions options;
+  options.jobs = jobs;
+  options.exec = exec;
+  return artifacts_of(core::run_scenario(*scenario, options));
+}
+
+/// Full simulation with every other option as given.
+core::ExecOptions full_simulation(core::ExecOptions exec = {}) {
+  exec.reprice = false;
+  return exec;
+}
+
+/// Runs one side of a comparison with repricing off and asserts that no
+/// run in it was served from the process-wide profile cache. Otherwise a
+/// profile captured earlier in the process could stand in for the run,
+/// and the comparison would test nothing.
+Artifacts simulated_artifacts_of(const std::string& scenario_name,
+                                 const core::ExecOptions& exec) {
+  EXPECT_FALSE(exec.reprice);
+  const auto before = core::reprice_stats().reprices;
+  Artifacts out = artifacts_of(scenario_name, 1, exec);
+  EXPECT_EQ(core::reprice_stats().reprices, before) << scenario_name << " was repriced";
   return out;
 }
 
@@ -152,16 +113,18 @@ TEST(Determinism, TransientLoiParallelMatchesSerial) {
 #endif
 #endif
 
+core::ExecOptions element_wise() {
+  core::ExecOptions exec = full_simulation();
+  exec.bulk_fast_path = false;
+  return exec;
+}
+
 TEST(Determinism, Fig06RangeApiMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts fast = artifacts_of("fig06", 1);
-  Artifacts reference;
-  {
-    ScopedElementWise element_wise;
-    reference = artifacts_of("fig06", 1);
-  }
+  const Artifacts fast = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts reference = simulated_artifacts_of("fig06", element_wise());
   EXPECT_EQ(fast.csv, reference.csv);
   EXPECT_EQ(fast.json, reference.json);
   EXPECT_FALSE(fast.csv.empty());
@@ -171,12 +134,8 @@ TEST(Determinism, TransientLoiRangeApiMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double scenario run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts fast = artifacts_of("ext-transient-loi", 1);
-  Artifacts reference;
-  {
-    ScopedElementWise element_wise;
-    reference = artifacts_of("ext-transient-loi", 1);
-  }
+  const Artifacts fast = simulated_artifacts_of("ext-transient-loi", full_simulation());
+  const Artifacts reference = simulated_artifacts_of("ext-transient-loi", element_wise());
   EXPECT_EQ(fast.csv, reference.csv);
   EXPECT_EQ(fast.json, reference.json);
 }
@@ -206,11 +165,11 @@ TEST(Determinism, Fig06SimdProbeMatchesForcedScalar) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts wide = artifacts_of("fig06", 1);
+  const Artifacts wide = simulated_artifacts_of("fig06", full_simulation());
   Artifacts scalar;
   {
     ScopedScalarProbe forced;
-    scalar = artifacts_of("fig06", 1);
+    scalar = simulated_artifacts_of("fig06", full_simulation());
   }
   EXPECT_EQ(wide.csv, scalar.csv);
   EXPECT_EQ(wide.json, scalar.json);
@@ -221,37 +180,35 @@ TEST(Determinism, Fig06SimdProbeMatchesForcedScalar) {
 // The compat half of `--link-model`: scenarios without bulk traffic carry
 // zero cross-class rates, so running them under the queue model must
 // reproduce the closed-form artifacts byte for byte (fig06 covers all six
-// workloads with no migration runtime attached). Conversely, pinning the
-// default to kLoi must be a no-op for a planner-heavy scenario — the
-// closed-form path is untouched by the queue refactor.
+// workloads with no migration runtime attached). Conversely, a scenario
+// whose planner charges bulk migration traffic must see the queue model
+// once the sweep's options ask for it — the option has to reach the
+// engines its measure function builds directly.
+
+core::ExecOptions queue_model(core::ExecOptions exec = {}) {
+  exec.link_model = memsim::LinkModelKind::kQueue;
+  return exec;
+}
 
 TEST(Determinism, Fig06QueueModelMatchesLoiModel) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts loi = artifacts_of("fig06", 1);
-  Artifacts queued;
-  {
-    ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
-    queued = artifacts_of("fig06", 1);
-  }
+  const Artifacts loi = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts queued = simulated_artifacts_of("fig06", full_simulation(queue_model()));
   EXPECT_EQ(loi.csv, queued.csv);
   EXPECT_EQ(loi.json, queued.json);
   EXPECT_FALSE(loi.csv.empty());
 }
 
-TEST(Determinism, TransientLoiExplicitLoiModelIsDefault) {
+TEST(Determinism, TransientLoiLinkModelReachesScenarioEngines) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double scenario run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts implicit = artifacts_of("ext-transient-loi", 1);
-  Artifacts pinned;
-  {
-    ScopedLinkModel loi_mode(memsim::LinkModelKind::kLoi);
-    pinned = artifacts_of("ext-transient-loi", 1);
-  }
-  EXPECT_EQ(implicit.csv, pinned.csv);
-  EXPECT_EQ(implicit.json, pinned.json);
+  const Artifacts loi = artifacts_of("ext-transient-loi", 1);
+  const Artifacts queued = artifacts_of("ext-transient-loi", 1, queue_model());
+  EXPECT_NE(loi.csv, queued.csv);
+  EXPECT_FALSE(queued.csv.empty());
 }
 
 /// The new scenario itself must be reproducible — it layers the queue
@@ -266,46 +223,38 @@ TEST(Determinism, ExtQueueContentionArtifactsAreReproducible) {
 }
 
 // ---- epoch-profile repricing vs full simulation -----------------------------
-// The correctness gate for `--reprice` (core/epoch_profile.h): a scenario
-// run that captures one epoch profile per functional key and re-prices
-// every other grid point from it must produce byte-identical artifacts to
-// the all-full-simulation run. fig06's axes (app, scale, prefetch) are
-// all functional, so it pins the other half of the contract: on a grid
-// with no timing axis every point captures and nothing re-prices — the
-// flag is a byte-exact no-op. Scenarios whose measure functions sweep an
-// LoI axis (ext-cxl, fig10) exercise reprices > 0 in tests/test_reprice.cpp.
+// The correctness gate for repricing (core/epoch_profile.h, on by
+// default): a scenario run that captures one epoch profile per functional
+// key and re-prices every other grid point from it must produce
+// byte-identical artifacts to the all-full-simulation run. fig06's axes
+// (app, scale, prefetch) are all functional, so it pins the other half of
+// the contract: on a grid with no timing axis every point captures and
+// nothing re-prices — repricing is a byte-exact no-op. Scenarios whose
+// measure functions sweep an LoI axis (ext-cxl, fig10) exercise
+// reprices > 0 in tests/test_reprice.cpp.
 
-/// Scoped override of the repricing switch: clears the profile cache on
-/// entry and exit so no capture leaks between tests.
-class ScopedReprice {
+/// Clears the profile cache on entry and exit so the repriced run inside
+/// captures from scratch and no capture leaks between tests.
+class FreshProfileCache {
  public:
-  explicit ScopedReprice(bool on) : saved_(core::reprice_enabled()) {
-    core::clear_reprice_cache();
-    core::set_reprice_enabled(on);
-  }
-  ~ScopedReprice() {
-    core::set_reprice_enabled(saved_);
-    core::clear_reprice_cache();
-  }
-  ScopedReprice(const ScopedReprice&) = delete;
-  ScopedReprice& operator=(const ScopedReprice&) = delete;
-
- private:
-  bool saved_;
+  FreshProfileCache() { core::clear_reprice_cache(); }
+  ~FreshProfileCache() { core::clear_reprice_cache(); }
+  FreshProfileCache(const FreshProfileCache&) = delete;
+  FreshProfileCache& operator=(const FreshProfileCache&) = delete;
 };
 
 TEST(Determinism, Fig06RepriceMatchesFullSimulation) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts full = artifacts_of("fig06", 1);
+  const Artifacts full = simulated_artifacts_of("fig06", full_simulation());
   Artifacts repriced;
   {
-    ScopedReprice reprice(true);
+    FreshProfileCache fresh;
     repriced = artifacts_of("fig06", 1);
     // Every fig06 axis is functional (the profiler's prefetch on/off pair
-    // included), so each eligible run captures and none re-prices: the
-    // flag must be a strict byte-exact no-op on such a grid.
+    // included), so each eligible run captures and none re-prices:
+    // repricing must be a strict byte-exact no-op on such a grid.
     EXPECT_GT(core::reprice_stats().captures, 0u);
     EXPECT_EQ(core::reprice_stats().reprices, 0u);
   }
@@ -321,7 +270,7 @@ TEST(Determinism, Fig06RepriceParallelMatchesSerial) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  ScopedReprice reprice(true);
+  FreshProfileCache fresh;
   const Artifacts serial = artifacts_of("fig06", 1);
   core::clear_reprice_cache();
   const Artifacts parallel = artifacts_of("fig06", 3);
@@ -329,31 +278,30 @@ TEST(Determinism, Fig06RepriceParallelMatchesSerial) {
   EXPECT_EQ(serial.json, parallel.json);
 }
 
-/// Enabling repricing under the queue link model must leave fig06's
-/// zero-bulk-traffic collapse to the closed-form artifacts intact (the
-/// PR 6 compat guarantee, with the capture path engaged).
+/// Repricing under the queue link model must leave fig06's
+/// zero-bulk-traffic collapse to the closed-form artifacts intact (with
+/// the capture path engaged).
 TEST(Determinism, Fig06RepriceUnderQueueModelMatchesLoiModel) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts loi = artifacts_of("fig06", 1);
+  const Artifacts loi = simulated_artifacts_of("fig06", full_simulation());
   Artifacts repriced_queue;
   {
-    ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
-    ScopedReprice reprice(true);
-    repriced_queue = artifacts_of("fig06", 1);
+    FreshProfileCache fresh;
+    repriced_queue = artifacts_of("fig06", 1, queue_model());
   }
   EXPECT_EQ(loi.csv, repriced_queue.csv);
   EXPECT_EQ(loi.json, repriced_queue.json);
 }
 
 /// A planner-heavy scenario (migration runtimes, epoch callbacks) never
-/// reaches the repricer — enabling it must be a strict no-op there.
+/// reaches the repricer — repricing must be a strict no-op there.
 TEST(Determinism, ExtStagedMigrationRepriceIsANoOp) {
-  const Artifacts off = artifacts_of("ext-staged-migration", 1);
+  const Artifacts off = simulated_artifacts_of("ext-staged-migration", full_simulation());
   Artifacts on;
   {
-    ScopedReprice reprice(true);
+    FreshProfileCache fresh;
     on = artifacts_of("ext-staged-migration", 1);
     EXPECT_EQ(core::reprice_stats().reprices, 0u);
     EXPECT_EQ(core::reprice_stats().captures, 0u);
@@ -362,60 +310,39 @@ TEST(Determinism, ExtStagedMigrationRepriceIsANoOp) {
   EXPECT_EQ(off.json, on.json);
 }
 
-// ---- trace record/replay vs live --------------------------------------------
-// The correctness gate for the replay cache (src/trace/): a sweep whose
-// workload streams are recorded on first use and replayed from disk
-// afterwards must produce byte-identical artifacts to the all-live sweep.
-// Pass 1 through the cache exercises the recording sink (attached sink +
-// live numerics), pass 2 the replayer (no numerics, coalesced kStream
-// records riding the bulk fast path) — both against the live baseline.
+// ---- concurrent sweeps with different options -------------------------------
+// Execution options travel by value, so two sweeps in one process can run
+// at the same time on different paths: here the element-wise full
+// simulation beside the default (bulk fast path, repriced). Both must
+// write the same bytes.
 
-TEST(Determinism, Fig06ReplayCacheMatchesLive) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts live = artifacts_of("fig06", 1);
-  ScopedReplayCache cache("fig06");
-  const Artifacts recorded = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.json, recorded.json);
-  EXPECT_GT(cache.trace_files(), 0u);
-  const Artifacts replayed = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
-  EXPECT_FALSE(live.csv.empty());
-}
-
-/// Replay must stay exact under the queue link model too — the trace layer
-/// is model-agnostic (it records the call stream, not its pricing), and
-/// this pins that down.
-TEST(Determinism, Fig06ReplayCacheMatchesLiveUnderQueueModel) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple fig06 run exceeds the sanitized scenario timeout";
-#endif
-  ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
-  const Artifacts live = artifacts_of("fig06", 1);
-  ScopedReplayCache cache("fig06_queue");
-  const Artifacts recorded = artifacts_of("fig06", 1);
-  const Artifacts replayed = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
-}
-
-/// ext-queue-contention drives the two-class queues and the inflation
-/// trace; a replayed run must reproduce its artifacts exactly as well.
-TEST(Determinism, ExtQueueContentionReplayCacheMatchesLive) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple scenario run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts live = artifacts_of("ext-queue-contention", 1);
-  ScopedReplayCache cache("queue_contention");
-  const Artifacts recorded = artifacts_of("ext-queue-contention", 1);
-  const Artifacts replayed = artifacts_of("ext-queue-contention", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
+TEST(Determinism, ConcurrentSweepsWithDifferentOptionsAgree) {
+  core::SweepSpec spec;
+  spec.apps = {workloads::App::kHPL};
+  spec.ratios = {0.5};
+  spec.lois = {0.0, 50.0};
+  spec.seed_per_task = false;
+  const core::MeasureFn measure = [](const core::SweepPoint& point) {
+    const auto wl = point.make_workload();
+    const auto out = core::run_workload(*wl, point.run_config());
+    return std::vector<core::Metric>{
+        {"elapsed_s", out.elapsed_s},
+        {"remote_ratio", out.remote_access_ratio()},
+        {"epochs", static_cast<double>(out.epochs.size())}};
+  };
+  FreshProfileCache fresh;
+  core::SweepOptions reference;
+  reference.exec = element_wise();
+  core::SweepResult reference_result, default_result;
+  std::thread a([&] { reference_result = core::run_sweep(spec, measure, reference); });
+  std::thread b([&] { default_result = core::run_sweep(spec, measure, {}); });
+  a.join();
+  b.join();
+  const Artifacts ref = artifacts_of(reference_result);
+  const Artifacts def = artifacts_of(default_result);
+  EXPECT_EQ(ref.csv, def.csv);
+  EXPECT_EQ(ref.json, def.json);
+  EXPECT_EQ(reference_result.rows.size(), 2u);
 }
 
 }  // namespace

@@ -132,7 +132,8 @@ TEST(QueueModel, BulkFreeEngineRunMatchesLoiModel) {
     rc.machine = memsim::MachineConfig::cxl_direct_attached();
     rc.remote_capacity_ratio = 0.5;
     rc.background_loi = 25.0;  // background must survive the translation
-    rc.link_model = kind;
+    rc.exec.link_model = kind;
+    rc.exec.reprice = false;  // both runs simulate; neither is re-priced
     auto wl = workloads::make_workload(workloads::App::kXSBench, 1);
     return core::run_workload(*wl, rc);
   };

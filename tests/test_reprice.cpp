@@ -1,12 +1,12 @@
 // Epoch-profile repricing (core/epoch_profile.h): equivalence and fallback
 // correctness.
 //
-// The contract under test is byte-identity: with `--reprice on`, every
-// eligible grid point must produce artifacts bit-identical to the full
-// simulation it replaces, and every ineligible point (migration runtime
-// attached, epoch callback installed, workload without a functional id)
-// must fall back to full simulation silently — so a sweep mixing both
-// kinds writes byte-identical CSV/JSON either way.
+// The contract under test is byte-identity: with repricing on (the
+// default), every eligible grid point must produce artifacts bit-identical
+// to the full simulation it replaces, and every ineligible point
+// (migration runtime attached, epoch callback installed, workload without
+// a functional id) must fall back to full simulation silently — so a
+// sweep mixing both kinds writes byte-identical CSV/JSON either way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,25 +27,26 @@
 namespace memdis::core {
 namespace {
 
-// Saves the process-wide reprice switch, clears the profile cache, and
-// restores both on destruction — the same Scoped-override idiom the other
-// suites use for link-model and fast-forward defaults.
-class ScopedReprice {
+// Clears the profile cache on entry and exit, so the runs inside capture
+// from scratch and no capture leaks between tests.
+class FreshProfileCache {
  public:
-  explicit ScopedReprice(bool on) : saved_(reprice_enabled()) {
-    clear_reprice_cache();
-    set_reprice_enabled(on);
-  }
-  ~ScopedReprice() {
-    set_reprice_enabled(saved_);
-    clear_reprice_cache();
-  }
-  ScopedReprice(const ScopedReprice&) = delete;
-  ScopedReprice& operator=(const ScopedReprice&) = delete;
-
- private:
-  bool saved_;
+  FreshProfileCache() { clear_reprice_cache(); }
+  ~FreshProfileCache() { clear_reprice_cache(); }
+  FreshProfileCache(const FreshProfileCache&) = delete;
+  FreshProfileCache& operator=(const FreshProfileCache&) = delete;
 };
+
+// The full-simulation reference for `rc`: repricing off, and asserted not
+// to have been served from the shared profile cache (a profile captured
+// earlier in the process would otherwise stand in for the reference).
+RunOutput simulate(workloads::Workload& wl, RunConfig rc) {
+  rc.exec.reprice = false;
+  const auto before = reprice_stats().reprices;
+  RunOutput out = run_workload(wl, rc);
+  EXPECT_EQ(reprice_stats().reprices, before);
+  return out;
+}
 
 bool bits_equal(double a, double b) {
   std::uint64_t ab = 0, bb = 0;
@@ -127,16 +128,13 @@ TEST(Reprice, RunWorkloadIsBitIdenticalAcrossTheLoiAxis) {
   const std::vector<double> lois = {0.0, 10.0, 25.0, 50.0};
   // Reference: full simulation for every point.
   std::vector<RunOutput> live;
-  {
-    const ScopedReprice off(false);
-    for (const double loi : lois) {
-      workloads::Lbench wl(small_lbench(7));
-      live.push_back(run_workload(wl, timing_point(loi)));
-    }
+  for (const double loi : lois) {
+    workloads::Lbench wl(small_lbench(7));
+    live.push_back(simulate(wl, timing_point(loi)));
   }
   // Repriced: the first point captures, the rest fold the cost model over
   // its epoch profile.
-  const ScopedReprice on(true);
+  const FreshProfileCache fresh;
   for (std::size_t i = 0; i < lois.size(); ++i) {
     workloads::Lbench wl(small_lbench(7));
     const RunOutput out = run_workload(wl, timing_point(lois[i]));
@@ -159,15 +157,11 @@ TEST(Reprice, LoiScheduleAndPerTierOverridesRepriceBitExactly) {
     rc.loi_schedule.set(pool, memsim::LoiWaveform::square(2, 0.5, 40.0, loi));
     return rc;
   };
-  RunOutput live0, live25;
-  {
-    const ScopedReprice off(false);
-    workloads::Lbench a(small_lbench(11));
-    live0 = run_workload(a, make_config(0.0));
-    workloads::Lbench b(small_lbench(11));
-    live25 = run_workload(b, make_config(25.0));
-  }
-  const ScopedReprice on(true);
+  workloads::Lbench live_a(small_lbench(11));
+  const RunOutput live0 = simulate(live_a, make_config(0.0));
+  workloads::Lbench live_b(small_lbench(11));
+  const RunOutput live25 = simulate(live_b, make_config(25.0));
+  const FreshProfileCache fresh;
   workloads::Lbench a(small_lbench(11));
   expect_outputs_identical(live0, run_workload(a, make_config(0.0)));
   workloads::Lbench b(small_lbench(11));
@@ -183,18 +177,14 @@ TEST(Reprice, QueueModelRepriceReplaysObservesBitExactly) {
   // model collapses to the closed form.
   const auto make_config = [](double loi) {
     RunConfig rc = timing_point(loi);
-    rc.link_model = memsim::LinkModelKind::kQueue;
+    rc.exec.link_model = memsim::LinkModelKind::kQueue;
     return rc;
   };
-  RunOutput live0, live25;
-  {
-    const ScopedReprice off(false);
-    workloads::Lbench a(small_lbench(13));
-    live0 = run_workload(a, make_config(0.0));
-    workloads::Lbench b(small_lbench(13));
-    live25 = run_workload(b, make_config(25.0));
-  }
-  const ScopedReprice on(true);
+  workloads::Lbench live_a(small_lbench(13));
+  const RunOutput live0 = simulate(live_a, make_config(0.0));
+  workloads::Lbench live_b(small_lbench(13));
+  const RunOutput live25 = simulate(live_b, make_config(25.0));
+  const FreshProfileCache fresh;
   workloads::Lbench a(small_lbench(13));
   expect_outputs_identical(live0, run_workload(a, make_config(0.0)));
   workloads::Lbench b(small_lbench(13));
@@ -203,7 +193,7 @@ TEST(Reprice, QueueModelRepriceReplaysObservesBitExactly) {
 }
 
 TEST(Reprice, WorkloadWithoutFunctionalIdFallsBackToFullSimulation) {
-  const ScopedReprice on(true);
+  const FreshProfileCache fresh;
   AnonymousLbench wl(small_lbench(17));
   const RunOutput out = run_workload(wl, timing_point(25.0));
   EXPECT_GT(out.elapsed_s, 0.0);
@@ -295,13 +285,14 @@ TEST(Reprice, MixedEligibilitySweepWritesByteIdenticalArtifacts) {
   SweepOptions opts;
   opts.jobs = 2;
 
-  SweepResult full, repriced;
+  SweepOptions full_opts = opts;
+  full_opts.exec.reprice = false;
+  const auto reprices_before = reprice_stats().reprices;
+  const SweepResult full = run_sweep(spec, mixed_measure, full_opts);
+  EXPECT_EQ(reprice_stats().reprices, reprices_before);
+  SweepResult repriced;
   {
-    const ScopedReprice off(false);
-    full = run_sweep(spec, mixed_measure, opts);
-  }
-  {
-    const ScopedReprice on(true);
+    const FreshProfileCache fresh;
     repriced = run_sweep(spec, mixed_measure, opts);
     const RepriceStats stats = reprice_stats();
     // The eligible variants actually went through the repricer...
@@ -313,9 +304,9 @@ TEST(Reprice, MixedEligibilitySweepWritesByteIdenticalArtifacts) {
     EXPECT_LE(reprice_cache_size(), 1u);
   }
 
+  // The two sweeps ran with different exec options, which rows_equal
+  // compares as part of each point; the written artifacts must not differ.
   ASSERT_EQ(full.rows.size(), spec.size());
-  EXPECT_TRUE(full.rows_equal(repriced));
-
   std::ostringstream csv_full, csv_repriced, json_full, json_repriced;
   full.write_csv(csv_full);
   repriced.write_csv(csv_repriced);
@@ -341,9 +332,10 @@ TEST(Reprice, ExtCxlScenarioRepricesAndMatchesFullSimulation) {
   const auto* scenario = ScenarioRegistry::instance().find("ext-cxl");
   ASSERT_NE(scenario, nullptr);
   const auto artifacts = [&](bool reprice) {
-    const ScopedReprice scoped(reprice);
+    const FreshProfileCache fresh;
     SweepOptions opts;
     opts.jobs = 1;
+    opts.exec.reprice = reprice;
     const SweepResult result = run_scenario(*scenario, opts);
     std::ostringstream csv, json;
     result.write_csv(csv);
@@ -351,6 +343,8 @@ TEST(Reprice, ExtCxlScenarioRepricesAndMatchesFullSimulation) {
     if (reprice) {
       EXPECT_GT(reprice_stats().captures, 0u);
       EXPECT_GT(reprice_stats().reprices, 0u);
+    } else {
+      EXPECT_EQ(reprice_stats().reprices, 0u);
     }
     return std::make_pair(csv.str(), json.str());
   };

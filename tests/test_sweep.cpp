@@ -176,19 +176,40 @@ TEST(RunSweep, TaskExceptionPropagates) {
 }
 
 TEST(RunSweep, TwoWaveRepriceSchedulingRunsEachTaskExactlyOnce) {
-  const bool saved = reprice_enabled();
-  set_reprice_enabled(true);
   std::atomic<int> calls{0};
   const auto counting = [&](const SweepPoint& p) -> std::vector<Metric> {
     calls.fetch_add(1);
     return {{"i", static_cast<double>(p.index)}};
   };
-  const auto result = run_sweep(small_spec(), counting, {.jobs = 4});
-  set_reprice_enabled(saved);
+  const auto result = run_sweep(small_spec(), counting, {.jobs = 4});  // reprice on
   EXPECT_EQ(calls.load(), 16);
   ASSERT_EQ(result.rows.size(), 16u);
   for (std::size_t i = 0; i < result.rows.size(); ++i)
     EXPECT_EQ(result.rows[i].point.index, i);
+}
+
+TEST(RunSweep, CopiesExecOptionsIntoEveryPoint) {
+  SweepOptions options;
+  options.jobs = 2;
+  options.exec.bulk_fast_path = false;
+  options.exec.reprice = false;
+  options.exec.link_model = memsim::LinkModelKind::kQueue;
+  std::atomic<int> mismatches{0};
+  const auto checking = [&](const SweepPoint& p) -> std::vector<Metric> {
+    if (!(p.exec == options.exec) || !(p.run_config().exec == options.exec))
+      mismatches.fetch_add(1);
+    return {};
+  };
+  (void)run_sweep(small_spec(), checking, options);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(SweepPoint, FunctionalGroupKeyIgnoresExecOptions) {
+  SweepPoint a = small_spec().expand()[5];
+  SweepPoint b = a;
+  b.exec.reprice = false;
+  b.exec.bulk_fast_path = false;
+  EXPECT_EQ(a.functional_group_key(), b.functional_group_key());
 }
 
 TEST(SweepPoint, FunctionalGroupKeyGroupsOverTheLoiAxisOnly) {
@@ -237,6 +258,7 @@ TEST(SweepResult, RowsEqualDetectsEverySingleFieldMutation) {
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.prefetch = false; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.variant = "base"; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.seed = 78; })));
+  EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.exec.reprice = false; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics[0].second = 1.25; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics[0].first = "x"; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics.clear(); })));

@@ -1,6 +1,6 @@
 // Trace-format unit suite: on-disk round-trips, the periodic detector's
-// RLE boundaries, corrupt-input rejection, replay exactness against the
-// element-wise engine, and the fast-forward tolerance contract.
+// RLE boundaries, corrupt-input rejection, and replay exactness against
+// the element-wise engine.
 //
 // The replay gate here is deliberately stronger than the sweep-level
 // byte-compares in test_determinism: it compares the *engine state* —
@@ -9,7 +9,6 @@
 // that happened to cancel out in CSV metrics would still be caught.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -20,20 +19,11 @@
 #include "sim/engine.h"
 #include "trace/trace.h"
 #include "trace/trace_workload.h"
-#include "workloads/workload.h"
 
 namespace memdis {
 namespace {
 
 namespace fs = std::filesystem;
-
-#if defined(__SANITIZE_ADDRESS__)
-#define MEMDIS_UNDER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MEMDIS_UNDER_ASAN 1
-#endif
-#endif
 
 fs::path temp_file(const std::string& name) {
   return fs::path(::testing::TempDir()) / name;
@@ -245,6 +235,67 @@ TEST(TraceFormat, ScanRejectsCorruptRecord) {
   EXPECT_FALSE(error.empty());
 }
 
+// Crafted payloads: each is one record followed by kEnd, and each must be
+// rejected as corrupt before anything is sized from, or dispatched on, an
+// untrusted field. Every varint below is one byte except the huge counts.
+
+/// Appends `v` as a LEB128 varint.
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::uint8_t>(v | 0x80));
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// scan_trace's error for `payload` ("" when it decodes cleanly).
+std::string scan_error_of(std::vector<std::uint8_t> payload) {
+  trace::TraceData data;
+  data.record_count = 2;
+  data.payload = std::move(payload);
+  std::string error;
+  (void)trace::scan_trace(data, error);
+  return error;
+}
+
+/// kAlloc of 127 bytes with placement-kind byte `kind`, a weights count of
+/// `weights` (no weight bytes follow), an empty name, and base 0.
+std::vector<std::uint8_t> alloc_record(std::uint8_t kind, std::uint64_t weights) {
+  std::vector<std::uint8_t> p = {static_cast<std::uint8_t>(trace::TraceOp::kAlloc), 0x7f, kind,
+                                 0};
+  put_varint(p, weights);
+  p.insert(p.end(), {0, 0, static_cast<std::uint8_t>(trace::TraceOp::kEnd)});
+  return p;
+}
+
+/// kStream declaring `lanes` lanes, with one lane of op byte `op` encoded
+/// (base delta +1, stride 8, elem 8), and 4 iterations.
+std::vector<std::uint8_t> stream_record(std::uint64_t lanes, std::uint8_t op) {
+  std::vector<std::uint8_t> p = {static_cast<std::uint8_t>(trace::TraceOp::kStream)};
+  put_varint(p, lanes);
+  p.insert(p.end(), {op, 2, 8, 8, 4, static_cast<std::uint8_t>(trace::TraceOp::kEnd)});
+  return p;
+}
+
+constexpr const char* kCorrupt = "corrupt trace record";
+
+TEST(TraceFormat, ScanRejectsHugeWeightsCount) {
+  EXPECT_EQ(scan_error_of(alloc_record(2, 1ull << 63)), kCorrupt);
+  // Below the vector limit, still far more than the bytes left.
+  EXPECT_EQ(scan_error_of(alloc_record(2, 64)), kCorrupt);
+}
+
+TEST(TraceFormat, ScanRejectsHugeLaneCount) {
+  EXPECT_EQ(scan_error_of(stream_record(1ull << 62, 0)), kCorrupt);
+}
+
+TEST(TraceFormat, ScanRejectsBadLaneOp) {
+  EXPECT_EQ(scan_error_of(stream_record(1, 7)), kCorrupt);  // past Op::kFlops
+  EXPECT_EQ(scan_error_of(stream_record(1, 0)), "");        // kLoad: the control
+}
+
+TEST(TraceFormat, ScanRejectsBadPlacementKind) {
+  EXPECT_EQ(scan_error_of(alloc_record(9, 0)), kCorrupt);  // past kPreferred
+  EXPECT_EQ(scan_error_of(alloc_record(0, 0)), "");        // first-touch: the control
+}
+
 // ---- periodic detector / RLE boundaries -------------------------------------
 
 TEST(TraceWriterRle, PeriodicPatternFoldsIntoStreamRecord) {
@@ -360,112 +411,6 @@ TEST(TraceReplay, DivergingAllocationFailsLoudly) {
   sim::Engine eng;
   trace::TraceReplayWorkload wl(data);
   EXPECT_THROW(wl.run(eng), std::runtime_error);
-}
-
-// ---- cached-workload factory ------------------------------------------------
-
-TEST(TraceCache, RecordThenReplayThroughFactory) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "full workload run exceeds the sanitized unit budget";
-#endif
-  const fs::path dir = fs::path(::testing::TempDir()) / "memdis_factory_cache";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const auto key = trace::trace_cache_path(dir.string(), workloads::App::kBFS, 1, 42);
-  EXPECT_FALSE(fs::exists(key));
-
-  // First factory call wraps the live workload and records on run.
-  auto rec = trace::make_cached_workload(dir.string(), workloads::App::kBFS, 1, 42);
-  EngineState live;
-  workloads::WorkloadResult live_result;
-  {
-    sim::Engine eng;
-    live_result = rec->run(eng);
-    eng.finish();
-    live = state_of(eng);
-  }
-  EXPECT_TRUE(fs::exists(key));
-
-  // Second factory call loads the trace; replay reproduces engine state
-  // and the recorded workload result.
-  auto rep = trace::make_cached_workload(dir.string(), workloads::App::kBFS, 1, 42);
-  EngineState replayed;
-  workloads::WorkloadResult replay_result;
-  {
-    sim::Engine eng;
-    replay_result = rep->run(eng);
-    eng.finish();
-    replayed = state_of(eng);
-  }
-  expect_states_equal(live, replayed);
-  EXPECT_EQ(live_result.verified, replay_result.verified);
-  EXPECT_EQ(live_result.residual, replay_result.residual);
-  EXPECT_EQ(live_result.detail, replay_result.detail);
-  fs::remove_all(dir);
-}
-
-TEST(TraceCache, PoisonedCacheFileThrowsInsteadOfFallingBack) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "memdis_poisoned_cache";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto key = trace::trace_cache_path(dir.string(), workloads::App::kHPL, 1, 42);
-  std::ofstream(key, std::ios::binary) << "not a trace";
-  EXPECT_THROW(
-      (void)trace::make_cached_workload(dir.string(), workloads::App::kHPL, 1, 42),
-      std::runtime_error);
-  fs::remove_all(dir);
-}
-
-// ---- fast-forward tolerance contract ----------------------------------------
-
-/// The fast-forward contract (docs/TRACE.md): on a steady periodic stream
-/// with a settled resident set, the analytic path must (a) actually engage,
-/// (b) keep integer counters exact, and (c) keep epoch-priced time within
-/// 0.1% of the bit-exact path. The pre-touch pass is what settles the
-/// resident set — fast-forward correctly refuses to engage while
-/// first-touch placement is still changing per-epoch state.
-TEST(FastForward, SteadyStreamWithinTolerance) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "multi-epoch stream runs exceed the sanitized unit budget";
-#endif
-  const std::uint64_t bytes = 192ull << 20;
-  const auto run_one = [&](bool ff) {
-    sim::EngineConfig cfg;
-    cfg.fast_forward = ff;
-    sim::Engine eng(cfg);
-    const auto r = eng.alloc(bytes, memsim::MemPolicy::first_touch(), "a");
-    eng.store_range(r.base, bytes, 8);  // settle the resident set
-    sim::StreamLane lane{r.base, 8, 8, sim::StreamLane::Op::kLoad};
-    for (int rep = 0; rep < 3; ++rep) eng.stream_range(&lane, 1, bytes / 8);
-    eng.finish();
-    EngineState s = state_of(eng);
-    return std::make_pair(s, eng.fast_forwarded_epochs());
-  };
-
-  const auto [exact, exact_ff] = run_one(false);
-  const auto [fast, fast_ff] = run_one(true);
-
-  EXPECT_EQ(exact_ff, 0u);
-  EXPECT_GT(fast_ff, 0u);
-  // Integer totals are synthesized in closed form — exact, not approximate.
-  EXPECT_EQ(exact.counters.loads, fast.counters.loads);
-  EXPECT_EQ(exact.counters.stores, fast.counters.stores);
-  EXPECT_EQ(exact.flops, fast.flops);
-  EXPECT_EQ(exact.epochs, fast.epochs);
-  // Priced time carries the steady-state approximation; the contract caps
-  // it at 0.1% of the exact path.
-  ASSERT_GT(exact.elapsed, 0.0);
-  const double dev = std::abs(fast.elapsed - exact.elapsed) / exact.elapsed;
-  EXPECT_LE(dev, 1e-3) << "fast-forward elapsed deviation " << dev;
-}
-
-/// Fast-forward defaults off, and the default engine path is bit-exact:
-/// EngineConfig's initializer must track the process-wide default.
-TEST(FastForward, DefaultsOff) {
-  EXPECT_FALSE(sim::fast_forward_default());
-  const sim::EngineConfig cfg;
-  EXPECT_FALSE(cfg.fast_forward);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //   memdis report  [--scale 1]
 //   memdis scenarios
 //   memdis sweep   --scenario fig06 [--jobs N] [--out dir] [--csv file]
-//                  [--replay-cache dir] [--reprice on|off]
+//                  [--reprice on|off]
 //   memdis fleet   [--arrivals poisson:0.12:1000] [--pools 2] [--policy loi-aware]
 //                  [--migration on] [--jobs N] [--out dir] [--csv file]
 //   memdis plan    --app Hypre --fabric three-tier [--ratio 0.75]
@@ -23,9 +23,8 @@
 //   memdis trace   info   --trace file.mdtr
 //
 // `--link-model loi|queue` selects the fabric contention model for any
-// subcommand (default loi, the closed form); `--fast-forward on` enables
-// the steady-state epoch fast-forward (off by default, tolerance-gated —
-// docs/TRACE.md).
+// subcommand (default loi, the closed form). Both it and `--reprice` land
+// in one core::ExecOptions value that each subcommand passes down.
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +44,6 @@
 #include "core/interference.h"
 #include "core/migration.h"
 #include "core/profiler.h"
-#include "core/epoch_profile.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
 #include "fleet/arrival.h"
@@ -71,7 +69,7 @@ struct Args {
   std::vector<std::string> loi_waves;         ///< --loi-wave specs (repeatable)
   std::optional<std::string> loi_trace_path;  ///< --loi-trace CSV file
   bool staging = true;               ///< --staging: plan may use intermediate tiers
-  memsim::LinkModelKind link_model = sim::link_model_default();  ///< --link-model
+  core::ExecOptions exec;            ///< --link-model, --reprice
   std::uint32_t nflop = 1;
   int threads = 12;
   std::size_t elements = 1 << 20;
@@ -80,9 +78,6 @@ struct Args {
   unsigned jobs = 1;
   std::optional<std::string> out_dir;
   std::optional<std::string> trace_path;    ///< --trace FILE
-  std::optional<std::string> replay_cache;  ///< --replay-cache DIR
-  std::optional<bool> fast_forward;         ///< --fast-forward on|off
-  std::optional<bool> reprice;              ///< --reprice on|off
   // fleet subcommand
   std::string arrivals = "poisson:0.12:1000";  ///< --arrivals SPEC
   std::size_t pools = 2;                       ///< --pools N
@@ -134,15 +129,11 @@ void usage(std::ostream& os) {
      << "  --link-model M    fabric link contention model: loi (closed form,\n"
      << "                    default) or queue (two-class demand/bulk queues)\n"
      << "  --trace FILE      trace file (.mdtr) for the trace subcommand\n"
-     << "  --replay-cache D  sweep: record each (app, scale, seed) stream once\n"
-     << "                    into D and replay it into every other grid point\n"
-     << "                    (created if missing; artifacts byte-identical)\n"
-     << "  --fast-forward M  on|off: closed-form steady-state epoch synthesis\n"
-     << "                    (default off — the bit-exact path; docs/TRACE.md)\n"
      << "  --reprice M       on|off: epoch-profile memoization — one full run\n"
      << "                    per functional key, every timing-only variation\n"
      << "                    re-priced in O(epochs), byte-identical artifacts\n"
-     << "                    (default off; docs/REPRICE.md)\n"
+     << "                    (default on; off forces full simulation;\n"
+     << "                    docs/REPRICE.md)\n"
      << "  --arrivals SPEC   fleet arrival process: poisson:<rate>:<count> or\n"
      << "                    trace:<file> (CSV: header, then arrival_s,class;\n"
      << "                    default poisson:0.12:1000)\n"
@@ -283,9 +274,9 @@ std::optional<Args> parse(int argc, char** argv) {
       }
     } else if (flag == "--link-model") {
       if (*value == "loi") {
-        args.link_model = memsim::LinkModelKind::kLoi;
+        args.exec.link_model = memsim::LinkModelKind::kLoi;
       } else if (*value == "queue") {
-        args.link_model = memsim::LinkModelKind::kQueue;
+        args.exec.link_model = memsim::LinkModelKind::kQueue;
       } else {
         std::cerr << "error: --link-model expects loi or queue, got '" << *value << "'\n";
         return std::nullopt;
@@ -355,22 +346,11 @@ std::optional<Args> parse(int argc, char** argv) {
       args.out_dir = *value;
     } else if (flag == "--trace") {
       args.trace_path = *value;
-    } else if (flag == "--replay-cache") {
-      args.replay_cache = *value;
-    } else if (flag == "--fast-forward") {
-      if (*value == "on") {
-        args.fast_forward = true;
-      } else if (*value == "off") {
-        args.fast_forward = false;
-      } else {
-        std::cerr << "error: --fast-forward expects on or off, got '" << *value << "'\n";
-        return std::nullopt;
-      }
     } else if (flag == "--reprice") {
       if (*value == "on") {
-        args.reprice = true;
+        args.exec.reprice = true;
       } else if (*value == "off") {
-        args.reprice = false;
+        args.exec.reprice = false;
       } else {
         std::cerr << "error: --reprice expects on or off, got '" << *value << "'\n";
         return std::nullopt;
@@ -472,6 +452,7 @@ int cmd_machine(const Args& args) {
 int cmd_level1(const Args& args, workloads::App app) {
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.exec = args.exec;
   if (!loi_matches_topology(args, rc.machine)) return 2;
   rc.background_loi_per_tier = args.loi_per_tier;
   const auto schedule = schedule_of(args, rc.machine);
@@ -513,6 +494,7 @@ int cmd_level1(const Args& args, workloads::App app) {
 int cmd_level2(const Args& args, workloads::App app) {
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.exec = args.exec;
   if (!loi_matches_topology(args, rc.machine)) return 2;
   rc.background_loi_per_tier = args.loi_per_tier;
   const auto schedule = schedule_of(args, rc.machine);
@@ -537,6 +519,7 @@ int cmd_level2(const Args& args, workloads::App app) {
 int cmd_level3(const Args& args, workloads::App app) {
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.exec = args.exec;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   const auto l3 = profiler.level3(*wl, args.ratio, args.lois);
@@ -599,6 +582,7 @@ int cmd_sweep(const Args& args) {
             << scenario->spec.size() << " configurations, jobs=" << args.jobs << "\n";
   core::SweepOptions options;
   options.jobs = args.jobs;
+  options.exec = args.exec;
   const auto result = core::run_scenario(*scenario, options);
   std::cout << "sweep finished in " << Table::num(result.wall_seconds, 2) << " s ("
             << result.rows.size() << " rows)\n\n";
@@ -705,7 +689,7 @@ int cmd_fleet(const Args& args) {
 
 int cmd_plan(const Args& args, workloads::App app) {
   auto wl = workloads::make_workload(app, args.scale);
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = core::engine_config(args.exec);
   // Shape capacities so args.ratio of the footprint spills off the node;
   // N-tier chains split the spill between the first pool and the tail
   // (the same rule the spill-chain scenarios use).
@@ -813,7 +797,7 @@ int cmd_trace(const Args& args) {
     trace::TraceRecordWorkload recorder(
         workloads::make_workload(*app, args.scale, args.seed), workloads::app_name(*app),
         args.scale, args.seed, *args.trace_path);
-    sim::EngineConfig cfg;
+    sim::EngineConfig cfg = core::engine_config(args.exec);
     cfg.machine = machine_of(args.fabric);
     sim::Engine eng(cfg);
     const auto result = recorder.run(eng);
@@ -842,12 +826,15 @@ int cmd_trace(const Args& args) {
     return 2;  // malformed input file: a validation failure, like a bad flag
   }
 
+  // Validate the whole payload before acting on it, so a corrupt record
+  // is a validation failure (exit 2) rather than a fault mid-replay.
+  const auto stats = trace::scan_trace(*data, error);
+  if (!stats) {
+    std::cerr << "error: " << error << "\n";
+    return 2;
+  }
+
   if (args.trace_action == "info") {
-    const auto stats = trace::scan_trace(*data, error);
-    if (!stats) {
-      std::cerr << "error: " << error << "\n";
-      return 2;
-    }
     Table t({"field", "value"});
     t.add_row({"app", data->app});
     t.add_row({"workload", data->workload_name});
@@ -874,7 +861,7 @@ int cmd_trace(const Args& args) {
 
   // replay
   trace::TraceReplayWorkload replayer(std::move(*data));
-  sim::EngineConfig cfg;
+  sim::EngineConfig cfg = core::engine_config(args.exec);
   cfg.machine = machine_of(args.fabric);
   sim::Engine eng(cfg);
   const auto result = replayer.run(eng);
@@ -884,7 +871,6 @@ int cmd_trace(const Args& args) {
   t.add_row({"verified (recorded)", result.verified ? "yes" : "NO"});
   t.add_row({"simulated time", Table::num(eng.elapsed_seconds() * 1e3, 3) + " ms"});
   t.add_row({"epochs", std::to_string(eng.epochs().size())});
-  t.add_row({"fast-forwarded epochs", std::to_string(eng.fast_forwarded_epochs())});
   t.print(std::cout);
   return result.verified ? 0 : 1;
 }
@@ -893,6 +879,7 @@ int cmd_report(const Args& args) {
   Table t({"app", "verified", "sim time (ms)", "AI", "DRAM GB/s", "skew"});
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.exec = args.exec;
   core::MultiLevelProfiler profiler(rc);
   bool all_ok = true;
   for (const auto app : workloads::kAllApps) {
@@ -914,28 +901,6 @@ int main(int argc, char** argv) {
   if (!args) {
     usage(std::cerr);
     return 2;
-  }
-  // Every config object defaults its link model from the process-wide
-  // default, so setting it once here covers profiler runs, sweeps, and the
-  // planner alike (scenarios that pin a model explicitly still win).
-  sim::set_link_model_default(args->link_model);
-  if (args->fast_forward) sim::set_fast_forward_default(*args->fast_forward);
-  if (args->reprice) core::set_reprice_enabled(*args->reprice);
-  if (args->replay_cache) {
-    std::error_code ec;
-    if (std::filesystem::exists(*args->replay_cache, ec) &&
-        !std::filesystem::is_directory(*args->replay_cache, ec)) {
-      std::cerr << "error: --replay-cache: '" << *args->replay_cache
-                << "' exists and is not a directory\n";
-      return 2;
-    }
-    std::filesystem::create_directories(*args->replay_cache, ec);
-    if (ec) {
-      std::cerr << "error: --replay-cache: cannot create '" << *args->replay_cache
-                << "': " << ec.message() << "\n";
-      return 2;
-    }
-    core::set_replay_cache_dir(*args->replay_cache);
   }
   try {
     if (args->command == "trace") return cmd_trace(*args);
