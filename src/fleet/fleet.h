@@ -2,7 +2,7 @@
 // disaggregated pools (the paper's Sec. 7 capacity-planning argument at
 // datacenter scale).
 //
-// Where `sched/cluster` prices one co-location *pair* on one pool link,
+// Where `sched/colocation` prices one job under a drawn background LoI,
 // this layer simulates thousands of jobs: a deterministic arrival process
 // (fleet/arrival.h) places jobs across compute-node groups that each share
 // one disaggregated pool, an admission policy decides placement (or
@@ -23,7 +23,9 @@
 //      effective LoI — pool background + co-runners' demand traffic as %
 //      of link capacity + the QueueModel's windowed bulk cross-rate — and
 //      advances `dt * interpolate_sensitivity(curve, loi)` of work,
-//      writing speed and LoI into its own slot;
+//      writing speed and LoI into its own slot — a slowed job offers
+//      proportionally less traffic next step, so co-located jobs produce
+//      each other's interference;
 //   4. (serial) completions retire in index order, resources free, pool
 //      gauges integrate, and the step's demand/bulk bytes are observe()d
 //      into each pool's queue windows.
@@ -57,9 +59,8 @@ struct PoolSpec {
 };
 
 /// A job class: the per-job profile plus the fleet-level resource demand.
-/// `profile` is the same Level-3 shape the pairwise co-location layer uses
-/// (sensitivity curve, offered demand traffic) — the fleet generalizes the
-/// pair to N co-runners without changing the job model.
+/// `profile` is the same Level-3 shape the Fig. 13 co-location study uses
+/// (sensitivity curve), plus the demand traffic the job offers its pool.
 struct JobClass {
   sched::JobProfile profile;    ///< app name, base runtime, sensitivity, offered_gbps
   double bulk_gbps = 0.0;       ///< steady bulk traffic (checkpoint/spill streams)

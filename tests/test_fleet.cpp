@@ -1,6 +1,6 @@
 // Fleet simulator tests: arrival-spec grammar, seeding determinism, the
-// serial-vs-parallel bit-identity contract at fleet scale, and the
-// admission-capacity property.
+// serial-vs-parallel bit-identity contract at fleet scale, the
+// admission-capacity property, and the closed-batch placement properties.
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -228,6 +228,47 @@ TEST(Fleet, TraceAndPoissonSourcesShareJobInputs) {
   const auto b = run_fleet(cfg, classes, trace);
   for (std::size_t i = 0; i < a.jobs.size(); ++i)
     EXPECT_EQ(a.jobs[i].work_s, b.jobs[i].work_s);
+}
+
+TEST(Fleet, LoneJobRunsAtIdleSpeed) {
+  // One job on an idle rack sees no co-runner traffic, so it finishes in
+  // exactly its idle-system runtime. hpc-solver offers no bulk traffic of
+  // its own.
+  FleetConfig cfg = two_pool_config();
+  cfg.runtime_jitter = 0.0;
+  const auto classes = default_job_classes();
+  const auto result = run_fleet(cfg, classes, {{0.0, 0, arrival_seed(42, 0)}});
+  ASSERT_EQ(result.completed, 1u);
+  const auto& job = result.jobs[0];
+  EXPECT_EQ(job.work_s, classes[0].profile.base_runtime_s);
+  EXPECT_NEAR(job.finish_s - job.start_s, job.work_s, 1e-9);
+}
+
+TEST(Fleet, LoiAwareNeverSlowsAClosedBatch) {
+  // A closed batch of identical jobs over 4 pools: LoI-aware placement is
+  // never worse than first-fit on mean slowdown. Placement within one step
+  // ranks pools on the previous step's frozen snapshot, so an all-at-t=0
+  // burst places exactly like first-fit; jobs one step apart see their
+  // predecessors' traffic and spread, which strictly helps.
+  const auto classes = default_job_classes();
+  const auto mean_slowdown = [&](AdmissionPolicy policy, double gap_s) {
+    std::vector<Arrival> batch;
+    for (std::size_t i = 0; i < 12; ++i)
+      batch.push_back({static_cast<double>(i) * gap_s, 0, arrival_seed(42, i)});
+    FleetConfig cfg;
+    cfg.pools = default_pools(4);
+    cfg.policy = policy;
+    cfg.migration = false;
+    const auto result = run_fleet(cfg, classes, batch);
+    EXPECT_EQ(result.completed, batch.size());
+    double sum = 0.0;
+    for (const auto& rec : result.jobs) sum += rec.slowdown();
+    return sum / static_cast<double>(result.jobs.size());
+  };
+  EXPECT_LE(mean_slowdown(AdmissionPolicy::kLoiAware, 0.0),
+            mean_slowdown(AdmissionPolicy::kFirstFit, 0.0));
+  EXPECT_LT(mean_slowdown(AdmissionPolicy::kLoiAware, 1.0),
+            mean_slowdown(AdmissionPolicy::kFirstFit, 1.0));
 }
 
 }  // namespace
