@@ -137,94 +137,22 @@ void store_epoch_profile(const std::string& key, EpochProfile profile) {
   g_captures.fetch_add(1, std::memory_order_relaxed);
 }
 
-RunOutput reprice(const EpochProfile& profile, const TimingConfig& timing) {
-  const auto& m = profile.machine;
-  const auto& topo = m.topology;
-  const bool queue_mode = timing.link_model == memsim::LinkModelKind::kQueue;
-  using memsim::TrafficClass;
-
-  // Mirror the engine constructor exactly: per-tier link/queue construction
-  // in TierId order, then the scalar LoI, then per-tier overrides, then the
-  // schedule's epoch-0 value.
-  std::vector<std::optional<memsim::LinkModel>> links;
-  std::vector<std::optional<memsim::QueueModel>> queues;
-  links.reserve(static_cast<std::size_t>(topo.num_tiers()));
-  queues.reserve(static_cast<std::size_t>(topo.num_tiers()));
-  for (memsim::TierId t = 0; t < topo.num_tiers(); ++t) {
-    if (topo.is_fabric(t)) {
-      links.emplace_back(memsim::LinkModel(topo.tier(t)));
-      if (queue_mode) {
-        queues.emplace_back(memsim::QueueModel(topo.tier(t)));
-      } else {
-        queues.emplace_back(std::nullopt);
-      }
-    } else {
-      links.emplace_back(std::nullopt);
-      queues.emplace_back(std::nullopt);
-    }
-  }
-  for (auto& l : links)
-    if (l) l->set_background_loi(timing.background_loi);
-  for (std::size_t t = 0; t < timing.background_loi_per_tier.size() && t < links.size();
-       ++t) {
-    if (links[t]) links[t]->set_background_loi(timing.background_loi_per_tier[t]);
-  }
-  const auto apply_schedule = [&](std::uint64_t epoch) {
-    if (timing.loi_schedule.empty()) return;
-    expects(timing.loi_schedule.per_tier.size() <= links.size(),
-            "LoI schedule targets a tier beyond the topology");
-    for (std::size_t t = 0; t < links.size(); ++t) {
-      const auto* wave = timing.loi_schedule.waveform(static_cast<memsim::TierId>(t));
-      if (!wave) continue;
-      expects(links[t].has_value(), "LoI schedule targets a tier without a link");
-      links[t]->set_background_loi(wave->value_at(epoch));
-    }
-  };
-  apply_schedule(0);
-
+RunOutput reprice(const EpochProfile& profile, const sim::EngineConfig& cfg) {
   RunOutput out = profile.output;  // functional fields carry over verbatim
 
-  // Fold the cost model over the captured epochs. elapsed_after[k] is the
-  // engine's running elapsed_s after k closed epochs — the identical
-  // sequence of additions, so phase times (differences of two prefix sums)
-  // reconstruct bit-exactly below.
-  double elapsed = 0.0;
+  // Drive a fresh clock over the captured epochs. elapsed_after[k] is the
+  // clock's elapsed time after k closed epochs — the engine's own running
+  // sum, so phase times (differences of two prefix sums) reconstruct
+  // bit-exactly below.
+  sim::EpochClock clock(cfg);
   std::vector<double> elapsed_after;
   elapsed_after.reserve(out.epochs.size() + 1);
   elapsed_after.push_back(0.0);
-  for (std::size_t i = 0; i < out.epochs.size(); ++i) {
-    sim::EpochRecord& rec = out.epochs[i];
-    sim::EpochPricing pricing = sim::price_epoch(
-        m, timing.link_model, profile.stall_weight, rec.flops, rec.tier_bytes,
-        rec.tier_demand, rec.migration_bytes, rec.migration_s, links, queues);
-    rec.start_s = elapsed;
-    rec.duration_s = pricing.duration_s;
-    rec.link_traffic_gbps = pricing.link_traffic_gbps;
-    rec.link_utilization = pricing.link_utilization;
-    rec.link_loi = std::move(pricing.link_loi);
-    rec.link_demand_mult = std::move(pricing.link_demand_mult);
-    rec.link_demand_inflation = std::move(pricing.link_demand_inflation);
-    // Replay the per-class traffic into the windowed estimators just as
-    // close_epoch does, so epoch i+1 prices against the same queue history.
-    if (queue_mode) {
-      for (memsim::TierId t = 0; t < topo.num_tiers(); ++t) {
-        auto& q = queues[static_cast<std::size_t>(t)];
-        if (!q) continue;
-        q->observe(TrafficClass::kDemand,
-                   static_cast<double>(rec.tier_bytes[static_cast<std::size_t>(t)]),
-                   rec.duration_s);
-        q->observe(TrafficClass::kBulk,
-                   static_cast<double>(rec.migration_bytes[static_cast<std::size_t>(t)]),
-                   rec.duration_s);
-      }
-    }
-    elapsed += rec.duration_s;
-    elapsed_after.push_back(elapsed);
-    // The engine steps the schedule after pushing each record (before the
-    // epoch callback — eligible runs have none).
-    apply_schedule(i + 1);
+  for (sim::EpochRecord& rec : out.epochs) {
+    clock.close(rec);
+    elapsed_after.push_back(clock.elapsed_s());
   }
-  out.elapsed_s = elapsed;
+  out.elapsed_s = clock.elapsed_s();
   for (auto& phase : out.phases) {
     expects(phase.epoch_begin <= phase.epoch_end &&
                 phase.epoch_end < elapsed_after.size(),

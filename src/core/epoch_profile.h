@@ -17,14 +17,13 @@
 // wires up below this layer — nothing reads a duration back into a
 // placement or cache decision. So one full simulation per functional key
 // captures per-epoch counter deltas (an EpochProfile), and every other
-// grid point sharing the key is *re-priced*: the per-link cost model
-// (sim::price_epoch — the very implementation close_epoch runs) is folded
-// over the profile's epochs under the new link state. Under the queue
-// model the repricer replays QueueModel::observe per epoch, so windowed
-// estimators see the same history; at zero bulk this is bit-exact to the
-// closed form per the PR 6 compat guarantee. Re-priced artifacts are
-// byte-identical to full simulation for every eligible point — enforced
-// by the determinism suite and the fig06 golden gate. See docs/REPRICE.md.
+// grid point sharing the key is *re-priced*: a sim::EpochClock — the very
+// object the engine closes its epochs through — is built from the run's
+// own engine config and driven over the profile's epoch records. Links,
+// queue windows and the LoI schedule therefore evolve exactly as in a full
+// simulation, and re-priced artifacts are byte-identical to it for every
+// eligible point — enforced by the determinism suite and the golden gate.
+// See docs/REPRICE.md.
 //
 // Repricing is on by default. A run opts in through core::run_workload
 // with RunConfig::exec.reprice set and a workload that publishes a
@@ -40,24 +39,13 @@
 
 namespace memdis::core {
 
-/// The timing half of a RunConfig: knobs that change what the links charge
-/// but cannot alter the access stream, placement, or counters.
-struct TimingConfig {
-  double background_loi = 0.0;
-  std::vector<double> background_loi_per_tier;
-  memsim::LoiSchedule loi_schedule;
-  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
-};
-
-/// One full simulation's capture for a functional key: the shaped machine
-/// it ran on plus the complete RunOutput. The output's functional content
-/// (counters, per-epoch deltas, residency, host numerics) is valid for
-/// *any* timing config sharing the key; its timing content is whatever the
-/// capture run happened to price and is recomputed by reprice().
+/// One full simulation's capture for a functional key. The output's
+/// functional content (counters, per-epoch deltas, residency, host
+/// numerics) is valid for *any* timing config sharing the key; its timing
+/// content is whatever the capture run happened to price and is recomputed
+/// by reprice().
 struct EpochProfile {
-  memsim::MachineConfig machine;  ///< shaped machine (after capacity split)
-  double stall_weight = 1.0;      ///< EngineConfig::stall_weight of the capture
-  RunOutput output;               ///< captured full-simulation output
+  RunOutput output;  ///< captured full-simulation output
 };
 
 /// Counters since the last clear_reprice_cache(): how many runs captured a
@@ -90,13 +78,11 @@ void clear_reprice_cache();
 [[nodiscard]] std::shared_ptr<const EpochProfile> find_epoch_profile(const std::string& key);
 void store_epoch_profile(const std::string& key, EpochProfile profile);
 
-/// Re-prices a captured profile under a new timing config: rebuilds the
-/// per-tier LinkModels/QueueModels exactly as the engine's constructor
-/// does, folds sim::price_epoch over the profile's epochs (stepping the
-/// LoI schedule and replaying queue observes at each close), and
-/// reconstructs elapsed time and phase times from the same running sums
-/// the engine computes. O(epochs); bit-identical to a full simulation of
-/// the same functional+timing config.
-[[nodiscard]] RunOutput reprice(const EpochProfile& profile, const TimingConfig& timing);
+/// Re-prices a captured profile under the timing half of `cfg` — the run's
+/// own engine config, whose machine shares the profile's functional key —
+/// by driving a fresh sim::EpochClock over the profile's epoch records,
+/// then reconstructs phase times from the clock's running sums. O(epochs);
+/// bit-identical to a full simulation of the same functional+timing config.
+[[nodiscard]] RunOutput reprice(const EpochProfile& profile, const sim::EngineConfig& cfg);
 
 }  // namespace memdis::core

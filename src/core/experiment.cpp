@@ -123,14 +123,9 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
     if (!id.empty()) {
       const std::string key =
           functional_key(id, ecfg.machine, cfg.hierarchy, cfg.prefetch_enabled);
-      TimingConfig timing;
-      timing.background_loi = cfg.background_loi;
-      timing.background_loi_per_tier = cfg.background_loi_per_tier;
-      timing.loi_schedule = cfg.loi_schedule;
-      timing.link_model = cfg.exec.link_model;
-      if (const auto profile = find_epoch_profile(key)) return reprice(*profile, timing);
+      if (const auto profile = find_epoch_profile(key)) return reprice(*profile, ecfg);
       RunOutput out = run_live(workload, ecfg, cfg.prefetch_enabled);
-      store_epoch_profile(key, EpochProfile{ecfg.machine, ecfg.stall_weight, out});
+      store_epoch_profile(key, EpochProfile{out});
       return out;
     }
   }

@@ -7,20 +7,17 @@
 
 namespace memdis::sim {
 
-Engine::Engine(const EngineConfig& cfg)
-    : cfg_(cfg), memory_(cfg.machine), hierarchy_(cfg.hierarchy, memory_) {
-  const auto& m = cfg_.machine;
-  expects(m.cacheline_bytes > 0 && (m.cacheline_bytes & (m.cacheline_bytes - 1)) == 0,
-          "cacheline size must be a power of two");
-  expects(m.page_bytes > 0 && (m.page_bytes & (m.page_bytes - 1)) == 0,
-          "page size must be a power of two");
-  line_bytes_ = m.cacheline_bytes;
-  line_mask_ = m.cacheline_bytes - 1;
-  page_shift_ = log2_pow2(m.page_bytes);
-  const auto& topo = cfg_.machine.topology;
+// ---- epoch clock ------------------------------------------------------------
+
+EpochClock::EpochClock(const EngineConfig& cfg)
+    : machine_(cfg.machine),
+      link_model_(cfg.link_model),
+      stall_weight_(cfg.stall_weight),
+      loi_schedule_(cfg.loi_schedule) {
+  const auto& topo = machine_.topology;
   links_.reserve(static_cast<std::size_t>(topo.num_tiers()));
   queues_.reserve(static_cast<std::size_t>(topo.num_tiers()));
-  const bool queue_mode = cfg_.link_model == memsim::LinkModelKind::kQueue;
+  const bool queue_mode = link_model_ == memsim::LinkModelKind::kQueue;
   for (memsim::TierId t = 0; t < topo.num_tiers(); ++t) {
     if (topo.is_fabric(t)) {
       links_.emplace_back(memsim::LinkModel(topo.tier(t)));
@@ -34,50 +31,217 @@ Engine::Engine(const EngineConfig& cfg)
       queues_.emplace_back(std::nullopt);
     }
   }
-  pending_migration_bytes_.assign(static_cast<std::size_t>(topo.num_tiers()), 0);
   set_background_loi(cfg.background_loi);
-  for (std::size_t t = 0; t < cfg_.background_loi_per_tier.size() && t < links_.size(); ++t) {
-    if (links_[t]) links_[t]->set_background_loi(cfg_.background_loi_per_tier[t]);
+  for (std::size_t t = 0; t < cfg.background_loi_per_tier.size() && t < links_.size(); ++t) {
+    if (links_[t]) links_[t]->set_background_loi(cfg.background_loi_per_tier[t]);
   }
-  apply_loi_schedule(0);
+  schedule(0);
 }
 
-void Engine::apply_loi_schedule(std::uint64_t epoch) {
-  if (cfg_.loi_schedule.empty()) return;
+void EpochClock::schedule(std::uint64_t epoch) {
+  if (loi_schedule_.empty()) return;
   // A schedule entry beyond the topology would otherwise be silently
   // ignored — a run that "handled the burst" because the burst never
   // happened.
-  expects(cfg_.loi_schedule.per_tier.size() <= links_.size(),
+  expects(loi_schedule_.per_tier.size() <= links_.size(),
           "LoI schedule targets a tier beyond the topology");
   for (std::size_t t = 0; t < links_.size(); ++t) {
-    const auto* wave = cfg_.loi_schedule.waveform(static_cast<memsim::TierId>(t));
+    const auto* wave = loi_schedule_.waveform(static_cast<memsim::TierId>(t));
     if (!wave) continue;
     expects(links_[t].has_value(), "LoI schedule targets a tier without a link");
     links_[t]->set_background_loi(wave->value_at(epoch));
   }
 }
 
-const memsim::LinkModel& Engine::link() const {
-  return link(cfg_.machine.topology.first_fabric());
-}
-
-const memsim::LinkModel& Engine::link(memsim::TierId t) const {
+const memsim::LinkModel& EpochClock::link(memsim::TierId t) const {
   expects(t >= 0 && t < static_cast<int>(links_.size()), "tier id out of range");
   const auto& l = links_[static_cast<std::size_t>(t)];
   expects(l.has_value(), "tier has no fabric link");
   return *l;
 }
 
-void Engine::set_background_loi(double loi_percent) {
+const memsim::QueueModel& EpochClock::queue(memsim::TierId t) const {
+  expects(t >= 0 && t < static_cast<int>(queues_.size()), "tier id out of range");
+  const auto& q = queues_[static_cast<std::size_t>(t)];
+  expects(q.has_value(), "tier has no link queue (kLoi model or local tier)");
+  return *q;
+}
+
+double EpochClock::effective_loi(memsim::TierId t, memsim::TrafficClass cls) const {
+  const double background = link(t).background_loi();
+  if (link_model_ != memsim::LinkModelKind::kQueue) return background;
+  const memsim::QueueModel& q = queue(t);
+  return q.effective_loi(cls, background, q.cross_rate_gbps(cls));
+}
+
+void EpochClock::set_background_loi(double loi_percent) {
   for (auto& l : links_)
     if (l) l->set_background_loi(loi_percent);
 }
 
-void Engine::set_background_loi(memsim::TierId t, double loi_percent) {
+void EpochClock::set_background_loi(memsim::TierId t, double loi_percent) {
   expects(t >= 0 && t < static_cast<int>(links_.size()), "tier id out of range");
   auto& l = links_[static_cast<std::size_t>(t)];
   expects(l.has_value(), "tier has no fabric link");
   l->set_background_loi(loi_percent);
+}
+
+void EpochClock::close(EpochRecord& rec) {
+  const auto& m = machine_;
+  const int n = m.num_tiers();
+  const bool queue_mode = link_model_ == memsim::LinkModelKind::kQueue;
+  using memsim::TrafficClass;
+  const auto& tier_bytes = rec.tier_bytes;
+  const auto& tier_demand = rec.tier_demand;
+  const auto& migration_bytes = rec.migration_bytes;
+  const auto link_at = [this](memsim::TierId t) -> const memsim::LinkModel& {
+    return *links_[static_cast<std::size_t>(t)];
+  };
+
+  // Throughput-bound terms: the epoch is as long as its most-loaded lane —
+  // compute, or any single tier's byte stream at that tier's effective
+  // bandwidth (fabric tiers are additionally clipped by their link). Under
+  // the queue model the demand stream's bandwidth share is further reduced
+  // by the bulk class's *windowed* traffic estimate (prior epochs — this
+  // epoch's own burst cannot shrink t_base without a circular dependency;
+  // it feeds the latency pass below instead).
+  const double t_flop = static_cast<double>(rec.flops) / (m.peak_gflops * 1e9);
+  double t_base = t_flop;
+  for (memsim::TierId t = 0; t < n; ++t) {
+    const auto bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
+    const auto& spec = m.tier(t);
+    double bw_link = spec.bandwidth_gbps;
+    if (spec.is_fabric()) {
+      bw_link = queue_mode
+                    ? queues_[static_cast<std::size_t>(t)]->effective_data_bandwidth_gbps(
+                          TrafficClass::kDemand, link_at(t).background_loi(),
+                          queues_[static_cast<std::size_t>(t)]->cross_rate_gbps(
+                              TrafficClass::kDemand))
+                    : link_at(t).effective_data_bandwidth_gbps(0.0);
+    }
+    const double bw_eff =
+        spec.is_fabric() ? std::min(bw_link, spec.bandwidth_gbps) : spec.bandwidth_gbps;
+    t_base = std::max(t_base, bytes / gbps_to_bytes_per_sec(bw_eff));
+  }
+
+  // Latency-bound term: only *demand* misses stall the cores; each fabric
+  // tier's own offered rate feeds its link queueing model (two-pass fixed
+  // point per link). Under the queue model the demand class additionally
+  // sees the bulk class's traffic — the windowed estimate plus the bulk
+  // bytes charged into this very epoch (at rate bytes/t_base, the same
+  // proxy the demand rate uses), so a migration burst inflates the demand
+  // latency of the epoch it lands in, not just the following window.
+  const double overlap = m.mlp * static_cast<double>(m.threads);
+  double stall_sum = 0.0;
+  std::vector<double> demand_mult(static_cast<std::size_t>(n), 1.0);
+  std::vector<double> demand_infl(static_cast<std::size_t>(n), 1.0);
+  for (memsim::TierId t = 0; t < n; ++t) {
+    const auto& spec = m.tier(t);
+    double lat_s;
+    if (spec.is_fabric()) {
+      const auto bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
+      const double est_rate_gbps =
+          t_base > 0 ? bytes_per_sec_to_gbps(bytes / t_base) : 0.0;
+      if (queue_mode) {
+        const auto& q = *queues_[static_cast<std::size_t>(t)];
+        const double cross_gbps = q.estimated_rate_gbps(
+            TrafficClass::kBulk,
+            static_cast<double>(migration_bytes[static_cast<std::size_t>(t)]), t_base);
+        lat_s = ns_to_s(q.effective_latency_ns(TrafficClass::kDemand,
+                                               link_at(t).background_loi(), est_rate_gbps,
+                                               cross_gbps));
+        demand_mult[static_cast<std::size_t>(t)] =
+            q.latency_multiplier(TrafficClass::kDemand, link_at(t).background_loi(),
+                                 est_rate_gbps, cross_gbps);
+        // Same epoch, same demand load, bulk cross-traffic removed: the
+        // denominator of the inflation trace.
+        const double solo_mult = q.latency_multiplier(
+            TrafficClass::kDemand, link_at(t).background_loi(), est_rate_gbps, 0.0);
+        if (solo_mult > 0)
+          demand_infl[static_cast<std::size_t>(t)] =
+              demand_mult[static_cast<std::size_t>(t)] / solo_mult;
+      } else {
+        lat_s = ns_to_s(link_at(t).effective_latency_ns(est_rate_gbps));
+        demand_mult[static_cast<std::size_t>(t)] =
+            link_at(t).latency_multiplier(est_rate_gbps);
+      }
+    } else {
+      lat_s = ns_to_s(spec.latency_ns);
+    }
+    stall_sum += static_cast<double>(tier_demand[static_cast<std::size_t>(t)]) * lat_s;
+  }
+  const double t_stall = stall_weight_ * stall_sum / overlap;
+  const double duration = t_base + t_stall + rec.migration_s;
+
+  // Link measurements: PCM-style measured traffic summed over links; the
+  // utilization of the busiest link (what an operator would alarm on).
+  // Under the queue model the gauges see the bulk bytes too — migration
+  // traffic is real link traffic to an operator's counters.
+  double traffic = 0.0;
+  double util = 0.0;
+  for (memsim::TierId t = 0; t < n; ++t) {
+    if (!m.tier(t).is_fabric()) continue;
+    double bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
+    if (queue_mode)
+      bytes += static_cast<double>(migration_bytes[static_cast<std::size_t>(t)]);
+    const double app_rate_gbps =
+        duration > 0 ? bytes_per_sec_to_gbps(bytes / duration) : 0.0;
+    traffic += link_at(t).measured_traffic_gbps(app_rate_gbps);
+    util = std::max(util, link_at(t).offered_utilization(app_rate_gbps));
+  }
+  rec.start_s = elapsed_s_;
+  rec.duration_s = duration;
+  rec.link_traffic_gbps = traffic;
+  rec.link_utilization = util;
+  rec.link_loi.assign(static_cast<std::size_t>(n), 0.0);
+  for (memsim::TierId t = 0; t < n; ++t)
+    if (links_[static_cast<std::size_t>(t)])
+      rec.link_loi[static_cast<std::size_t>(t)] = link_at(t).background_loi();
+  rec.link_demand_mult = std::move(demand_mult);
+  rec.link_demand_inflation = std::move(demand_infl);
+
+  // Fold this epoch's per-class traffic into the windowed estimators, so
+  // the next epoch prices against this one's history.
+  if (queue_mode) {
+    for (memsim::TierId t = 0; t < n; ++t) {
+      auto& q = queues_[static_cast<std::size_t>(t)];
+      if (!q) continue;
+      q->observe(TrafficClass::kDemand,
+                 static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]), duration);
+      q->observe(TrafficClass::kBulk,
+                 static_cast<double>(migration_bytes[static_cast<std::size_t>(t)]),
+                 duration);
+    }
+  }
+  elapsed_s_ += duration;
+  schedule(++closed_epochs_);
+}
+
+// ---- engine -----------------------------------------------------------------
+
+Engine::Engine(const EngineConfig& cfg)
+    : cfg_(cfg), memory_(cfg.machine), clock_(cfg), hierarchy_(cfg.hierarchy, memory_) {
+  const auto& m = cfg_.machine;
+  expects(m.cacheline_bytes > 0 && (m.cacheline_bytes & (m.cacheline_bytes - 1)) == 0,
+          "cacheline size must be a power of two");
+  expects(m.page_bytes > 0 && (m.page_bytes & (m.page_bytes - 1)) == 0,
+          "page size must be a power of two");
+  line_bytes_ = m.cacheline_bytes;
+  line_mask_ = m.cacheline_bytes - 1;
+  page_shift_ = log2_pow2(m.page_bytes);
+  pending_migration_bytes_.assign(static_cast<std::size_t>(m.num_tiers()), 0);
+}
+
+const memsim::LinkModel& Engine::link() const {
+  return link(cfg_.machine.topology.first_fabric());
+}
+
+const memsim::LinkModel& Engine::link(memsim::TierId t) const { return clock_.link(t); }
+
+void Engine::set_background_loi(double loi_percent) { clock_.set_background_loi(loi_percent); }
+
+void Engine::set_background_loi(memsim::TierId t, double loi_percent) {
+  clock_.set_background_loi(t, loi_percent);
 }
 
 double Engine::background_loi(memsim::TierId t) const { return link(t).background_loi(); }
@@ -88,22 +252,14 @@ void Engine::charge_migration_seconds(double seconds) {
 }
 
 void Engine::charge_migration_bytes(memsim::TierId seg, std::uint64_t bytes) {
-  expects(seg >= 0 && seg < static_cast<int>(links_.size()), "tier id out of range");
-  expects(links_[static_cast<std::size_t>(seg)].has_value(), "tier has no fabric link");
+  (void)link(seg);  // contract: `seg` is a fabric tier
   pending_migration_bytes_[static_cast<std::size_t>(seg)] += bytes;
 }
 
-const memsim::QueueModel& Engine::queue(memsim::TierId t) const {
-  expects(t >= 0 && t < static_cast<int>(queues_.size()), "tier id out of range");
-  const auto& q = queues_[static_cast<std::size_t>(t)];
-  expects(q.has_value(), "tier has no link queue (kLoi model or local tier)");
-  return *q;
-}
+const memsim::QueueModel& Engine::queue(memsim::TierId t) const { return clock_.queue(t); }
 
 double Engine::effective_loi(memsim::TierId t, memsim::TrafficClass cls) const {
-  if (cfg_.link_model != memsim::LinkModelKind::kQueue) return background_loi(t);
-  const memsim::QueueModel& q = queue(t);
-  return q.effective_loi(cls, background_loi(t), q.cross_rate_gbps(cls));
+  return clock_.effective_loi(t, cls);
 }
 
 memsim::VRange Engine::alloc(std::uint64_t bytes, memsim::MemPolicy policy, std::string name) {
@@ -533,7 +689,7 @@ void Engine::pf_start(std::string tag) {
   current_phase_ = std::move(tag);
   phase_base_ = hierarchy_.counters();
   phase_flops_base_ = total_flops_ + pending_flops_;
-  phase_time_base_ = elapsed_s_;
+  phase_time_base_ = clock_.elapsed_s();
   phase_epoch_base_ = epochs_.size();
 }
 
@@ -543,134 +699,13 @@ void Engine::pf_stop() {
   close_epoch();
   PhaseRecord rec;
   rec.tag = current_phase_;
-  rec.time_s = elapsed_s_ - phase_time_base_;
+  rec.time_s = clock_.elapsed_s() - phase_time_base_;
   rec.flops = total_flops_ - phase_flops_base_;
   rec.counters = hierarchy_.counters().delta_since(phase_base_);
   rec.epoch_begin = phase_epoch_base_;
   rec.epoch_end = epochs_.size();
   phases_.push_back(std::move(rec));
   current_phase_.clear();
-}
-
-EpochPricing price_epoch(const memsim::MachineConfig& m, memsim::LinkModelKind link_model,
-                         double stall_weight, std::uint64_t flops,
-                         const std::vector<std::uint64_t>& tier_bytes,
-                         const std::vector<std::uint64_t>& tier_demand,
-                         const std::vector<std::uint64_t>& migration_bytes,
-                         double migration_s,
-                         const std::vector<std::optional<memsim::LinkModel>>& links,
-                         const std::vector<std::optional<memsim::QueueModel>>& queues) {
-  const int n = m.num_tiers();
-  const bool queue_mode = link_model == memsim::LinkModelKind::kQueue;
-  using memsim::TrafficClass;
-  const auto link_at = [&links](memsim::TierId t) -> const memsim::LinkModel& {
-    return *links[static_cast<std::size_t>(t)];
-  };
-
-  // Throughput-bound terms: the epoch is as long as its most-loaded lane —
-  // compute, or any single tier's byte stream at that tier's effective
-  // bandwidth (fabric tiers are additionally clipped by their link). Under
-  // the queue model the demand stream's bandwidth share is further reduced
-  // by the bulk class's *windowed* traffic estimate (prior epochs — this
-  // epoch's own burst cannot shrink t_base without a circular dependency;
-  // it feeds the latency pass below instead).
-  const double t_flop = static_cast<double>(flops) / (m.peak_gflops * 1e9);
-  double t_base = t_flop;
-  for (memsim::TierId t = 0; t < n; ++t) {
-    const auto bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
-    const auto& spec = m.tier(t);
-    double bw_link = spec.bandwidth_gbps;
-    if (spec.is_fabric()) {
-      bw_link = queue_mode
-                    ? queues[static_cast<std::size_t>(t)]->effective_data_bandwidth_gbps(
-                          TrafficClass::kDemand, link_at(t).background_loi(),
-                          queues[static_cast<std::size_t>(t)]->cross_rate_gbps(
-                              TrafficClass::kDemand))
-                    : link_at(t).effective_data_bandwidth_gbps(0.0);
-    }
-    const double bw_eff =
-        spec.is_fabric() ? std::min(bw_link, spec.bandwidth_gbps) : spec.bandwidth_gbps;
-    t_base = std::max(t_base, bytes / gbps_to_bytes_per_sec(bw_eff));
-  }
-
-  // Latency-bound term: only *demand* misses stall the cores; each fabric
-  // tier's own offered rate feeds its link queueing model (two-pass fixed
-  // point per link). Under the queue model the demand class additionally
-  // sees the bulk class's traffic — the windowed estimate plus the bulk
-  // bytes charged into this very epoch (at rate bytes/t_base, the same
-  // proxy the demand rate uses), so a migration burst inflates the demand
-  // latency of the epoch it lands in, not just the following window.
-  const double overlap = m.mlp * static_cast<double>(m.threads);
-  double stall_sum = 0.0;
-  std::vector<double> demand_mult(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> demand_infl(static_cast<std::size_t>(n), 1.0);
-  for (memsim::TierId t = 0; t < n; ++t) {
-    const auto& spec = m.tier(t);
-    double lat_s;
-    if (spec.is_fabric()) {
-      const auto bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
-      const double est_rate_gbps =
-          t_base > 0 ? bytes_per_sec_to_gbps(bytes / t_base) : 0.0;
-      if (queue_mode) {
-        const auto& q = *queues[static_cast<std::size_t>(t)];
-        const double cross_gbps = q.estimated_rate_gbps(
-            TrafficClass::kBulk,
-            static_cast<double>(migration_bytes[static_cast<std::size_t>(t)]), t_base);
-        lat_s = ns_to_s(q.effective_latency_ns(TrafficClass::kDemand,
-                                               link_at(t).background_loi(), est_rate_gbps,
-                                               cross_gbps));
-        demand_mult[static_cast<std::size_t>(t)] =
-            q.latency_multiplier(TrafficClass::kDemand, link_at(t).background_loi(),
-                                 est_rate_gbps, cross_gbps);
-        // Same epoch, same demand load, bulk cross-traffic removed: the
-        // denominator of the inflation trace.
-        const double solo_mult = q.latency_multiplier(
-            TrafficClass::kDemand, link_at(t).background_loi(), est_rate_gbps, 0.0);
-        if (solo_mult > 0)
-          demand_infl[static_cast<std::size_t>(t)] =
-              demand_mult[static_cast<std::size_t>(t)] / solo_mult;
-      } else {
-        lat_s = ns_to_s(link_at(t).effective_latency_ns(est_rate_gbps));
-        demand_mult[static_cast<std::size_t>(t)] =
-            link_at(t).latency_multiplier(est_rate_gbps);
-      }
-    } else {
-      lat_s = ns_to_s(spec.latency_ns);
-    }
-    stall_sum += static_cast<double>(tier_demand[static_cast<std::size_t>(t)]) * lat_s;
-  }
-  const double t_stall = stall_weight * stall_sum / overlap;
-
-  EpochPricing p;
-  const double duration = t_base + t_stall + migration_s;
-  p.duration_s = duration;
-
-  // Link measurements: PCM-style measured traffic summed over links; the
-  // utilization of the busiest link (what an operator would alarm on).
-  // Under the queue model the gauges see the bulk bytes too — migration
-  // traffic is real link traffic to an operator's counters.
-  double traffic = 0.0;
-  double util = 0.0;
-  for (memsim::TierId t = 0; t < n; ++t) {
-    if (!m.tier(t).is_fabric()) continue;
-    double bytes = static_cast<double>(tier_bytes[static_cast<std::size_t>(t)]);
-    if (queue_mode)
-      bytes += static_cast<double>(migration_bytes[static_cast<std::size_t>(t)]);
-    const double app_rate_gbps =
-        duration > 0 ? bytes_per_sec_to_gbps(bytes / duration) : 0.0;
-    traffic += link_at(t).measured_traffic_gbps(app_rate_gbps);
-    util = std::max(util, link_at(t).offered_utilization(app_rate_gbps));
-  }
-  p.link_traffic_gbps = traffic;
-  p.link_utilization = util;
-  p.link_loi.resize(static_cast<std::size_t>(n), 0.0);
-  for (memsim::TierId t = 0; t < n; ++t)
-    if (links[static_cast<std::size_t>(t)])
-      p.link_loi[static_cast<std::size_t>(t)] =
-          links[static_cast<std::size_t>(t)]->background_loi();
-  p.link_demand_mult = std::move(demand_mult);
-  p.link_demand_inflation = std::move(demand_infl);
-  return p;
 }
 
 void Engine::close_epoch() {
@@ -682,76 +717,41 @@ void Engine::close_epoch() {
     return;  // nothing happened since the last close
   }
 
-  const auto& m = cfg_.machine;
-  const int n = m.num_tiers();
-  const bool queue_mode = cfg_.link_model == memsim::LinkModelKind::kQueue;
-  using memsim::TrafficClass;
-
-  // Functional inputs: this epoch's per-tier byte/demand-miss deltas. The
-  // timing side — everything the links' current state decides — lives in
-  // price_epoch, shared with the epoch-profile repricer.
-  std::vector<std::uint64_t> tier_bytes(static_cast<std::size_t>(n));
-  std::vector<std::uint64_t> tier_demand(static_cast<std::size_t>(n));
+  // The functional half of the record: this epoch's per-tier byte/demand-
+  // miss deltas and the migration charges. The clock fills in the timing.
+  const int n = cfg_.machine.num_tiers();
+  EpochRecord rec;
+  rec.phase = current_phase_;
+  rec.flops = flops_now;
+  rec.tier_bytes.resize(static_cast<std::size_t>(n));
+  rec.tier_demand.resize(static_cast<std::size_t>(n));
   for (memsim::TierId t = 0; t < n; ++t) {
-    tier_bytes[static_cast<std::size_t>(t)] = d.dram_bytes(t);
-    tier_demand[static_cast<std::size_t>(t)] = d.demand_dram[static_cast<std::size_t>(t)];
+    rec.tier_bytes[static_cast<std::size_t>(t)] = d.dram_bytes(t);
+    rec.tier_demand[static_cast<std::size_t>(t)] = d.demand_dram[static_cast<std::size_t>(t)];
   }
-
+  rec.l2_lines_in = d.l2_lines_in;
   // Migration transfer time charged by the planner since the last close
   // serializes with the epoch's demand traffic (move_pages stalls the
   // touching thread). Zero when no migration runtime is attached, keeping
   // two-tier golden artifacts bit-identical.
-  const double t_migrate = pending_migration_s_;
+  rec.migration_s = pending_migration_s_;
+  migration_s_total_ += pending_migration_s_;
   pending_migration_s_ = 0.0;
-  migration_s_total_ += t_migrate;
-
-  EpochPricing pricing =
-      price_epoch(m, cfg_.link_model, cfg_.stall_weight, flops_now, tier_bytes,
-                  tier_demand, pending_migration_bytes_, t_migrate, links_, queues_);
-  const double duration = pricing.duration_s;
-
-  EpochRecord rec;
-  rec.start_s = elapsed_s_;
-  rec.duration_s = duration;
-  rec.phase = current_phase_;
-  rec.flops = flops_now;
-  rec.migration_s = t_migrate;
-  rec.tier_bytes = std::move(tier_bytes);
-  rec.tier_demand = std::move(tier_demand);
-  rec.l2_lines_in = d.l2_lines_in;
-  rec.link_traffic_gbps = pricing.link_traffic_gbps;
-  rec.link_utilization = pricing.link_utilization;
-  rec.link_loi = std::move(pricing.link_loi);
-  rec.link_demand_mult = std::move(pricing.link_demand_mult);
-  rec.link_demand_inflation = std::move(pricing.link_demand_inflation);
   rec.migration_bytes = pending_migration_bytes_;
+  std::fill(pending_migration_bytes_.begin(), pending_migration_bytes_.end(), 0);
   const memsim::NumaSnapshot snap = memory_.snapshot();
   rec.resident_bytes = snap.resident_bytes;
-  // Fold this epoch's per-class traffic into the windowed estimators, then
-  // clear the bulk accumulators for the next epoch's charges.
-  if (queue_mode) {
-    for (memsim::TierId t = 0; t < n; ++t) {
-      auto& q = queues_[static_cast<std::size_t>(t)];
-      if (!q) continue;
-      q->observe(TrafficClass::kDemand, static_cast<double>(d.dram_bytes(t)), duration);
-      q->observe(TrafficClass::kBulk,
-                 static_cast<double>(pending_migration_bytes_[static_cast<std::size_t>(t)]),
-                 duration);
-    }
-  }
-  std::fill(pending_migration_bytes_.begin(), pending_migration_bytes_.end(), 0);
+  // Prices the epoch and steps the LoI schedule *before* the epoch callback
+  // fires, so runtime services (the migration planner) price the upcoming
+  // epoch against the link state it will actually run under.
+  clock_.close(rec);
   epochs_.push_back(std::move(rec));
 
-  elapsed_s_ += duration;
   total_flops_ += flops_now;
   peak_rss_ = std::max(peak_rss_, snap.total());
   pending_flops_ = 0;
   epoch_demand_accesses_ = 0;
   epoch_base_ = now;
-  // The schedule steps *before* the epoch callback fires, so runtime
-  // services (the migration planner) price the upcoming epoch against the
-  // link state it will actually run under.
-  apply_loi_schedule(epochs_.size());
   if (epoch_cb_) epoch_cb_(*this);
 }
 

@@ -15,7 +15,10 @@
 // term — that is what gives hardware prefetching its performance gain
 // (Sec. 4.2) and off-node latency its sting when coverage is low (XSBench,
 // Sec. 5.1). With a two-tier topology this reduces exactly to the paper's
-// bytes_L/bytes_R formulation.
+// bytes_L/bytes_R formulation. The cost model, the links it reads, the LoI
+// schedule and the running clock live in EpochClock: the engine closes
+// every epoch through one, and the epoch-profile repricer drives another
+// over captured records.
 //
 // ---- bulk access streams ---------------------------------------------------
 // Element-wise load()/store() is the reference instrumentation; the range
@@ -128,38 +131,6 @@ struct EngineConfig {
   memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
 };
 
-/// Timing outputs of the per-epoch cost model: everything in an EpochRecord
-/// that depends on the link state (background LoI, schedules, queue
-/// windows) rather than on the access stream. Computed by price_epoch —
-/// the single implementation of the cost model, shared between the
-/// engine's close_epoch and the epoch-profile repricer
-/// (core/epoch_profile.h), so re-priced artifacts are bit-identical to
-/// full simulation by construction.
-struct EpochPricing {
-  double duration_s = 0.0;          ///< t_base + t_stall + migration_s
-  double link_traffic_gbps = 0.0;   ///< PCM-style measured traffic, all links
-  double link_utilization = 0.0;    ///< max offered utilization over links
-  std::vector<double> link_loi;            ///< background LoI per tier
-  std::vector<double> link_demand_mult;    ///< demand latency multiplier per tier
-  std::vector<double> link_demand_inflation;  ///< bulk-attributable inflation
-};
-
-/// Prices one epoch's functional counter deltas under the given link
-/// state: the N-tier cost model of the header comment, including the
-/// queue-model cross-class terms when `link_model` is kQueue. `tier_bytes`,
-/// `tier_demand`, and `migration_bytes` are indexed by TierId and sized to
-/// the topology; `links`/`queues` are the per-tier models in their current
-/// state (queues nullopt under kLoi). Pure: reads the link/queue state but
-/// never mutates it — callers fold the epoch into the queue windows
-/// afterwards (QueueModel::observe) exactly as close_epoch does.
-[[nodiscard]] EpochPricing price_epoch(
-    const memsim::MachineConfig& machine, memsim::LinkModelKind link_model,
-    double stall_weight, std::uint64_t flops, const std::vector<std::uint64_t>& tier_bytes,
-    const std::vector<std::uint64_t>& tier_demand,
-    const std::vector<std::uint64_t>& migration_bytes, double migration_s,
-    const std::vector<std::optional<memsim::LinkModel>>& links,
-    const std::vector<std::optional<memsim::QueueModel>>& queues);
-
 /// One closed epoch: the unit of the profiler's per-interval timelines
 /// (Fig. 7's cacheline series, per-phase attribution, link traffic).
 /// Per-tier series are indexed by TierId and sized to the topology.
@@ -217,6 +188,57 @@ struct EpochRecord {
   [[nodiscard]] std::uint64_t resident_fabric_bytes() const {
     return resident_total_bytes() - resident_node_bytes();
   }
+};
+
+/// The timing half of a run: the per-tier fabric links (and, under the
+/// queue model, their two-class queues), the LoI schedule, and the running
+/// elapsed time. close() prices an epoch from its record's functional
+/// fields alone — the N-tier cost model of the header comment — so the
+/// engine and the epoch-profile repricer (core/epoch_profile.h) drive the
+/// same clock, and re-priced artifacts are bit-identical to full
+/// simulation by construction.
+class EpochClock {
+ public:
+  /// Builds a link per fabric tier (plus a queue under kQueue) in TierId
+  /// order, applies the scalar background LoI, then the per-tier overrides,
+  /// then the schedule's epoch-0 value.
+  explicit EpochClock(const EngineConfig& cfg);
+
+  /// Prices one closed epoch. Reads the record's functional fields (flops,
+  /// tier_bytes, tier_demand, migration_bytes, migration_s — per-tier
+  /// vectors sized to the topology) and fills its timing fields (start_s,
+  /// duration_s, link_*). Then folds the epoch's per-class traffic into the
+  /// queue windows, advances the elapsed time, and steps the schedule to
+  /// the next epoch.
+  void close(EpochRecord& rec);
+
+  /// Sum of the durations of every closed epoch.
+  [[nodiscard]] double elapsed_s() const { return elapsed_s_; }
+  /// Link model of fabric tier `t`; contract violation for local tiers.
+  [[nodiscard]] const memsim::LinkModel& link(memsim::TierId t) const;
+  /// Queue of fabric tier `t`'s link; contract violation for local tiers
+  /// and under the kLoi model (no queues exist).
+  [[nodiscard]] const memsim::QueueModel& queue(memsim::TierId t) const;
+  /// See Engine::effective_loi.
+  [[nodiscard]] double effective_loi(memsim::TierId t, memsim::TrafficClass cls) const;
+  void set_background_loi(double loi_percent);
+  void set_background_loi(memsim::TierId t, double loi_percent);
+
+ private:
+  /// Re-evaluates the LoI schedule for epoch `epoch` onto the links.
+  void schedule(std::uint64_t epoch);
+
+  memsim::MachineConfig machine_;
+  memsim::LinkModelKind link_model_;
+  double stall_weight_;
+  memsim::LoiSchedule loi_schedule_;
+  /// Per-tier link models, indexed by TierId; nullopt for local tiers.
+  std::vector<std::optional<memsim::LinkModel>> links_;
+  /// Per-tier link queues (kQueue model only), indexed by TierId; nullopt
+  /// for local tiers and for every tier under the kLoi model.
+  std::vector<std::optional<memsim::QueueModel>> queues_;
+  std::uint64_t closed_epochs_ = 0;
+  double elapsed_s_ = 0.0;
 };
 
 /// Aggregated per-phase results (between pf_start/pf_stop tags).
@@ -337,7 +359,7 @@ class Engine {
   void finish();
 
   // ---- results -------------------------------------------------------------
-  [[nodiscard]] double elapsed_seconds() const { return elapsed_s_; }
+  [[nodiscard]] double elapsed_seconds() const { return clock_.elapsed_s(); }
   [[nodiscard]] std::uint64_t total_flops() const { return total_flops_; }
   [[nodiscard]] const std::vector<EpochRecord>& epochs() const { return epochs_; }
   [[nodiscard]] const std::vector<PhaseRecord>& phases() const { return phases_; }
@@ -490,16 +512,10 @@ class Engine {
   }
 
   void close_epoch();
-  /// Re-evaluates the LoI schedule for epoch `epoch` onto the links.
-  void apply_loi_schedule(std::uint64_t epoch);
 
   EngineConfig cfg_;
   memsim::TieredMemory memory_;
-  /// Per-tier link models, indexed by TierId; nullopt for local tiers.
-  std::vector<std::optional<memsim::LinkModel>> links_;
-  /// Per-tier link queues (kQueue model only), indexed by TierId; nullopt
-  /// for local tiers and for every tier under the kLoi model.
-  std::vector<std::optional<memsim::QueueModel>> queues_;
+  EpochClock clock_;
   /// Bulk migration bytes charged per fabric tier since the last closed
   /// epoch (charge_migration_bytes), indexed by TierId.
   std::vector<std::uint64_t> pending_migration_bytes_;
@@ -529,7 +545,6 @@ class Engine {
   std::size_t phase_epoch_base_ = 0;  ///< epochs_.size() at pf_start
 
   // totals
-  double elapsed_s_ = 0.0;
   std::uint64_t total_flops_ = 0;
   std::uint64_t peak_rss_ = 0;
   double pending_migration_s_ = 0.0;  ///< charged into the next closed epoch

@@ -385,20 +385,7 @@ void TraceWriter::on_stream(const sim::StreamLane* lanes, std::size_t num_lanes,
                             std::uint64_t count) {
   drain_pending_flops();
   flush_simple_state();
-  begin_record(TraceOp::kStream);
-  put_varint(num_lanes);
-  for (std::size_t i = 0; i < num_lanes; ++i) {
-    const sim::StreamLane& ln = lanes[i];
-    put_u8(static_cast<std::uint8_t>(ln.op));
-    if (ln.op == sim::StreamLane::Op::kFlops) {
-      put_varint(ln.base);
-    } else {
-      put_addr(ln.base);
-      put_varint(ln.stride);
-      put_varint(ln.elem);
-    }
-  }
-  put_varint(count);
+  put_stream(lanes, num_lanes, count);
 }
 
 void TraceWriter::on_phase(bool start, const std::string& tag) {
@@ -441,24 +428,7 @@ void TraceWriter::push_simple(const Simple& s) {
     // the partial iteration's prefix through the detector (the window is
     // empty while a stream is active, so this cannot immediately re-enter
     // streaming), then re-process `s`.
-    const std::uint64_t iters = stream_iters_;
-    const std::size_t partial = stream_partial_;
-    std::vector<sim::StreamLane> lanes;
-    lanes.swap(stream_lanes_);
-    stream_active_ = false;
-    stream_iters_ = 0;
-    stream_partial_ = 0;
-    flush_stream_record(lanes, iters);
-    for (std::size_t i = 0; i < partial; ++i) {
-      const sim::StreamLane& pl = lanes[i];
-      if (pl.op == sim::StreamLane::Op::kFlops) {
-        push_simple(Simple{2, 0, pl.base});
-      } else {
-        push_simple(Simple{
-            static_cast<std::uint8_t>(pl.op == sim::StreamLane::Op::kStore ? 1 : 0),
-            pl.base + iters * pl.stride, pl.elem});
-      }
-    }
+    for (const Simple& p : end_stream()) push_simple(p);
     push_simple(s);
     return;
   }
@@ -527,12 +497,12 @@ bool TraceWriter::try_detect() {
   return false;
 }
 
-void TraceWriter::flush_stream_record(const std::vector<sim::StreamLane>& lanes,
-                                      std::uint64_t iters) {
-  expects(iters > 0, "stream record with zero iterations");
+void TraceWriter::put_stream(const sim::StreamLane* lanes, std::size_t num_lanes,
+                            std::uint64_t count) {
   begin_record(TraceOp::kStream);
-  put_varint(lanes.size());
-  for (const auto& ln : lanes) {
+  put_varint(num_lanes);
+  for (std::size_t i = 0; i < num_lanes; ++i) {
+    const sim::StreamLane& ln = lanes[i];
     put_u8(static_cast<std::uint8_t>(ln.op));
     if (ln.op == sim::StreamLane::Op::kFlops) {
       put_varint(ln.base);
@@ -542,34 +512,36 @@ void TraceWriter::flush_stream_record(const std::vector<sim::StreamLane>& lanes,
       put_varint(ln.elem);
     }
   }
-  put_varint(iters);
+  put_varint(count);
 }
 
-void TraceWriter::flush_stream() {
-  const std::uint64_t iters = stream_iters_;
-  const std::size_t partial = stream_partial_;
-  std::vector<sim::StreamLane> lanes;
-  lanes.swap(stream_lanes_);
+std::vector<TraceWriter::Simple> TraceWriter::end_stream() {
+  expects(stream_iters_ > 0, "stream record with zero iterations");
+  put_stream(stream_lanes_.data(), stream_lanes_.size(), stream_iters_);
+  std::vector<Simple> prefix;
+  prefix.reserve(stream_partial_);
+  for (std::size_t i = 0; i < stream_partial_; ++i) {
+    const sim::StreamLane& ln = stream_lanes_[i];
+    if (ln.op == sim::StreamLane::Op::kFlops) {
+      prefix.push_back(Simple{2, 0, ln.base});
+    } else {
+      prefix.push_back(
+          Simple{static_cast<std::uint8_t>(ln.op == sim::StreamLane::Op::kStore ? 1 : 0),
+                 ln.base + stream_iters_ * ln.stride, ln.elem});
+    }
+  }
+  stream_lanes_.clear();
   stream_active_ = false;
   stream_iters_ = 0;
   stream_partial_ = 0;
-  flush_stream_record(lanes, iters);
-  // The partial iteration's prefix goes out verbatim — terminal flush, no
-  // point feeding the detector again.
-  for (std::size_t i = 0; i < partial; ++i) {
-    const sim::StreamLane& pl = lanes[i];
-    if (pl.op == sim::StreamLane::Op::kFlops) {
-      emit_simple(Simple{2, 0, pl.base});
-    } else {
-      emit_simple(Simple{
-          static_cast<std::uint8_t>(pl.op == sim::StreamLane::Op::kStore ? 1 : 0),
-          pl.base + iters * pl.stride, pl.elem});
-    }
-  }
+  return prefix;
 }
 
 void TraceWriter::flush_simple_state() {
-  if (stream_active_) flush_stream();
+  // A terminal flush: the partial iteration's prefix goes out verbatim,
+  // with no point feeding the detector again.
+  if (stream_active_)
+    for (const Simple& p : end_stream()) emit_simple(p);
   while (!window_.empty()) {
     emit_simple(window_.front());
     window_.pop_front();

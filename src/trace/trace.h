@@ -184,9 +184,13 @@ class TraceWriter : public sim::TraceSink {
   void push_simple(const Simple& s);
   void drain_pending_flops();
   bool try_detect();
-  void flush_stream();
-  void flush_stream_record(const std::vector<sim::StreamLane>& lanes,
-                           std::uint64_t iters);
+  /// Encodes one kStream record — the only stream encoder, shared by
+  /// on_stream and the detector.
+  void put_stream(const sim::StreamLane* lanes, std::size_t num_lanes, std::uint64_t count);
+  /// Leaves streaming mode: emits the whole iterations as one kStream record
+  /// and returns the partial iteration's prefix as the element events it
+  /// stands for, for the caller to re-detect or emit.
+  std::vector<Simple> end_stream();
   /// Flushes the periodic detector completely: active stream, partial
   /// iteration, and the raw window (in original order).
   void flush_simple_state();

@@ -149,25 +149,41 @@ TEST(Reprice, RunWorkloadIsBitIdenticalAcrossTheLoiAxis) {
 TEST(Reprice, LoiScheduleAndPerTierOverridesRepriceBitExactly) {
   // A square-wave schedule on the pool link plus an asymmetric static
   // override: the repricer must step the schedule epoch-for-epoch and
-  // apply the per-tier vector exactly as the engine constructor does.
-  const auto make_config = [](double loi) {
+  // apply the per-tier vector exactly as the engine constructor does —
+  // under each link model, and when the capture ran under the closed form
+  // but the re-priced point runs the queue model (the link model is timing,
+  // so both share one functional key).
+  using memsim::LinkModelKind;
+  const auto make_config = [](double loi, LinkModelKind model) {
     RunConfig rc = timing_point(loi);
+    rc.exec.link_model = model;
     rc.background_loi_per_tier = {0.0, loi};
     const memsim::TierId pool = rc.machine.topology.first_fabric();
     rc.loi_schedule.set(pool, memsim::LoiWaveform::square(2, 0.5, 40.0, loi));
     return rc;
   };
-  workloads::Lbench live_a(small_lbench(11));
-  const RunOutput live0 = simulate(live_a, make_config(0.0));
-  workloads::Lbench live_b(small_lbench(11));
-  const RunOutput live25 = simulate(live_b, make_config(25.0));
-  const FreshProfileCache fresh;
-  workloads::Lbench a(small_lbench(11));
-  expect_outputs_identical(live0, run_workload(a, make_config(0.0)));
-  workloads::Lbench b(small_lbench(11));
-  expect_outputs_identical(live25, run_workload(b, make_config(25.0)));
-  EXPECT_EQ(reprice_stats().captures, 1u);
-  EXPECT_EQ(reprice_stats().reprices, 1u);
+  struct Models {
+    LinkModelKind capture;
+    LinkModelKind reprice;
+  };
+  for (const Models models : {Models{LinkModelKind::kLoi, LinkModelKind::kLoi},
+                              Models{LinkModelKind::kQueue, LinkModelKind::kQueue},
+                              Models{LinkModelKind::kLoi, LinkModelKind::kQueue}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "capture " << static_cast<int>(models.capture) << ", reprice "
+                 << static_cast<int>(models.reprice));
+    workloads::Lbench live_a(small_lbench(11));
+    const RunOutput live0 = simulate(live_a, make_config(0.0, models.capture));
+    workloads::Lbench live_b(small_lbench(11));
+    const RunOutput live25 = simulate(live_b, make_config(25.0, models.reprice));
+    const FreshProfileCache fresh;
+    workloads::Lbench a(small_lbench(11));
+    expect_outputs_identical(live0, run_workload(a, make_config(0.0, models.capture)));
+    workloads::Lbench b(small_lbench(11));
+    expect_outputs_identical(live25, run_workload(b, make_config(25.0, models.reprice)));
+    EXPECT_EQ(reprice_stats().captures, 1u);
+    EXPECT_EQ(reprice_stats().reprices, 1u);
+  }
 }
 
 TEST(Reprice, QueueModelRepriceReplaysObservesBitExactly) {

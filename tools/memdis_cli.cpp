@@ -172,8 +172,9 @@ std::optional<long long> parse_int(const std::string& flag, const std::string& t
   return v;
 }
 
+/// `max_open` makes the range [min, max) instead of [min, max].
 std::optional<double> parse_double(const std::string& flag, const std::string& text,
-                                   double min, double max) {
+                                   double min, double max, bool max_open = false) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
@@ -181,9 +182,9 @@ std::optional<double> parse_double(const std::string& flag, const std::string& t
     std::cerr << "error: " << flag << " expects a number, got '" << text << "'\n";
     return std::nullopt;
   }
-  if (!(v >= min && v <= max)) {
-    std::cerr << "error: " << flag << " must be in [" << min << ", " << max << "], got "
-              << text << "\n";
+  if (!(v >= min && (max_open ? v < max : v <= max))) {
+    std::cerr << "error: " << flag << " must be in [" << min << ", " << max
+              << (max_open ? ")" : "]") << ", got " << text << "\n";
     return std::nullopt;
   }
   return v;
@@ -217,19 +218,21 @@ std::optional<Args> parse(int argc, char** argv) {
     if (flag == "--app") {
       args.app = *value;
     } else if (flag == "--scale") {
-      const auto v = parse_int(flag, *value, 1, 1 << 20);
+      const auto v = parse_int(flag, *value, std::numeric_limits<long long>::min(),
+                               std::numeric_limits<long long>::max());
       if (!v) return std::nullopt;
+      if (*v != 1 && *v != 2 && *v != 4) {
+        std::cerr << "error: --scale must be 1, 2 or 4, got " << *v << "\n";
+        return std::nullopt;
+      }
       args.scale = static_cast<int>(*v);
     } else if (flag == "--seed") {
       const auto v = parse_int(flag, *value, 0, std::numeric_limits<long long>::max());
       if (!v) return std::nullopt;
       args.seed = static_cast<std::uint64_t>(*v);
     } else if (flag == "--ratio") {
-      const auto v = parse_double(flag, *value, 0.0, 1.0);
-      if (!v || *v >= 1.0) {
-        if (v) std::cerr << "error: --ratio must be in [0,1), got " << *value << "\n";
-        return std::nullopt;
-      }
+      const auto v = parse_double(flag, *value, 0.0, 1.0, /*max_open=*/true);
+      if (!v) return std::nullopt;
       args.ratio = *v;
     } else if (flag == "--fabric") {
       args.fabric = *value;
