@@ -103,23 +103,8 @@ class CacheHierarchy {
     l1_.access_run(line_addr, any_store, count);
   }
 
-  /// True when the line is L1-resident. Observationally pure (no LRU or
-  /// hint movement) — the probe behind the paired-stream batcher.
-  [[nodiscard]] bool l1_contains(std::uint64_t line_addr) const {
-    return l1_.contains(line_addr);
-  }
-
-  /// Applies `pairs` interleaved iterations of {access line_a, access
-  /// line_b} as guaranteed L1 hits (both lines must be resident — probe
-  /// with l1_contains first). Bit-identical to the element-wise sequence:
-  /// line_b carries the final LRU tick, line_a the one before it.
-  void l1_pair_run(std::uint64_t line_a, std::uint64_t line_b, bool is_store,
-                   std::uint64_t pairs) {
-    l1_.access_pair_run(line_a, line_b, is_store, pairs);
-  }
-
   // Resident-line handle passthroughs for the engine's multi-stream
-  // batcher (sim::Engine::stream_range). Handles go stale at any L1 fill,
+  // batcher (sim::Engine::stream_access). Handles go stale at any L1 fill,
   // so the engine re-resolves them after every non-batched access.
   static constexpr std::size_t l1_npos = SetAssocCache::npos;
   [[nodiscard]] std::size_t l1_index_of(std::uint64_t line_addr) {

@@ -289,30 +289,28 @@ void Engine::free(const memsim::VRange& range) {
 
 // ---- bulk access streams ----------------------------------------------------
 
-void Engine::range_element_loop(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                                RangeKind kind) {
-  // access_span, not load()/store(): the public range call already fired
-  // the trace sink once; its decomposition must not record again.
-  const std::uint64_t end = addr + bytes;
-  switch (kind) {
-    case RangeKind::kLoad:
-      for (std::uint64_t a = addr; a < end; a += elem) access_span(a, elem, false);
-      break;
-    case RangeKind::kStore:
-      for (std::uint64_t a = addr; a < end; a += elem) access_span(a, elem, true);
-      break;
-    case RangeKind::kRmw:
-      for (std::uint64_t a = addr; a < end; a += elem) {
+void Engine::lane_element_loop(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
+                               std::uint32_t elem, RangeKind kind) {
+  // access_span, not load()/store(): the public call already fired the
+  // trace sink once; its decomposition must not record again.
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const std::uint64_t a = addr + k * stride;
+    switch (kind) {
+      case RangeKind::kLoad:
+        access_span(a, elem, false);
+        break;
+      case RangeKind::kStore:
+        access_span(a, elem, true);
+        break;
+      case RangeKind::kRmw:
         access_span(a, elem, false);
         access_span(a, elem, true);
-      }
-      break;
-    case RangeKind::kStoreLoad:
-      for (std::uint64_t a = addr; a < end; a += elem) {
+        break;
+      case RangeKind::kStoreLoad:
         access_span(a, elem, true);
         access_span(a, elem, false);
-      }
-      break;
+        break;
+    }
   }
 }
 
@@ -352,66 +350,44 @@ bool Engine::line_run_fast(std::uint64_t line_addr, std::uint64_t loads, std::ui
   return true;
 }
 
-void Engine::range_access(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                          RangeKind kind) {
-  expects(bytes > 0, "range of zero bytes");
-  expects(elem > 0, "range with zero element size");
-  expects(bytes % elem == 0, "range must hold whole elements");
-  // The fast path requires elements that never straddle a cacheline
-  // (element size divides the line and the base is element-aligned);
+void Engine::lane_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
+                         std::uint32_t elem, RangeKind kind) {
+  expects(count > 0, "bulk access of zero elements");
+  expects(elem > 0, "bulk access with zero element size");
+  expects(stride > 0, "bulk access with zero stride");
+  // The fast path requires elements that never straddle a cacheline (the
+  // element size divides the line, base and stride are element-aligned);
   // anything else decomposes to the reference loop — still exact.
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem != 0 || addr % elem != 0) {
-    range_element_loop(addr, bytes, elem, kind);
+  if (!cfg_.bulk_fast_path || line_bytes_ % elem != 0 || addr % elem != 0 ||
+      stride % elem != 0) {
+    lane_element_loop(addr, count, stride, elem, kind);
     return;
   }
+  const bool first_is_store = kind == RangeKind::kStore || kind == RangeKind::kStoreLoad;
+  const bool has_loads = kind != RangeKind::kStore;
+  const bool has_stores = kind != RangeKind::kLoad;
   BulkAcc acc;
-  std::uint64_t a = addr;
-  const std::uint64_t end = addr + bytes;
-  while (a < end) {
-    const std::uint64_t line_start = a & ~line_mask_;
-    const std::uint64_t seg_end = std::min(end, line_start + line_bytes_);
-    const std::uint64_t k = (seg_end - a) / elem;  // elements in this line
-    bool ok = false;
-    switch (kind) {
-      case RangeKind::kLoad:
-        ok = line_run_fast(line_start, k, 0, /*first_is_store=*/false, acc);
-        break;
-      case RangeKind::kStore:
-        ok = line_run_fast(line_start, 0, k, /*first_is_store=*/true, acc);
-        break;
-      case RangeKind::kRmw:
-        ok = line_run_fast(line_start, k, k, /*first_is_store=*/false, acc);
-        break;
-      case RangeKind::kStoreLoad:
-        ok = line_run_fast(line_start, k, k, /*first_is_store=*/true, acc);
-        break;
-    }
-    if (!ok) {  // epoch boundary inside the run: exact access-by-access replay
+  std::uint64_t k = 0;
+  while (k < count) {
+    // The run of consecutive elements inside the current cacheline (one
+    // element per line once the stride reaches the line size).
+    const std::uint64_t a = addr + k * stride;
+    const std::uint64_t line = a & ~line_mask_;
+    const std::uint64_t n = std::min(count - k, (line + line_mask_ - a) / stride + 1);
+    if (!line_run_fast(line, has_loads ? n : 0, has_stores ? n : 0, first_is_store, acc)) {
+      // Epoch boundary inside the run: exact element-by-element replay.
       flush_bulk(acc);
-      switch (kind) {
-        case RangeKind::kLoad:
-          for (std::uint64_t i = 0; i < k; ++i) access_one(line_start, false);
-          break;
-        case RangeKind::kStore:
-          for (std::uint64_t i = 0; i < k; ++i) access_one(line_start, true);
-          break;
-        case RangeKind::kRmw:
-          for (std::uint64_t i = 0; i < k; ++i) {
-            access_one(line_start, false);
-            access_one(line_start, true);
-          }
-          break;
-        case RangeKind::kStoreLoad:
-          for (std::uint64_t i = 0; i < k; ++i) {
-            access_one(line_start, true);
-            access_one(line_start, false);
-          }
-          break;
-      }
+      lane_element_loop(a, n, stride, elem, kind);
     }
-    a = seg_end;
+    k += n;
   }
   flush_bulk(acc);
+}
+
+void Engine::range_access(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
+                          RangeKind kind) {
+  expects(elem > 0 && bytes % elem == 0, "range must hold whole elements");
+  lane_access(addr, bytes / elem, elem, elem, kind);
 }
 
 void Engine::load_range(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem_bytes) {
@@ -432,111 +408,20 @@ void Engine::store_load_range(std::uint64_t addr, std::uint64_t bytes,
   range_access(addr, bytes, elem_bytes, RangeKind::kStoreLoad);
 }
 
-void Engine::strided_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
-                            std::uint32_t elem, bool is_store) {
-  expects(count > 0, "strided range of zero elements");
-  expects(elem > 0, "strided range with zero element size");
-  expects(stride > 0, "strided range with zero stride");
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem != 0 || addr % elem != 0 ||
-      stride % elem != 0) {
-    for (std::uint64_t k = 0; k < count; ++k) access_span(addr + k * stride, elem, is_store);
-    return;
-  }
-  // Elements are line-contained; group consecutive same-line elements into
-  // runs (stride < line keeps several elements per line, stride >= line
-  // makes every run a single access).
-  BulkAcc acc;
-  std::uint64_t run_line = ~0ULL;
-  std::uint64_t run_k = 0;
-  const auto emit = [&](std::uint64_t line, std::uint64_t k) {
-    const bool ok = is_store ? line_run_fast(line, 0, k, true, acc)
-                             : line_run_fast(line, k, 0, false, acc);
-    if (!ok) {
-      flush_bulk(acc);
-      for (std::uint64_t i = 0; i < k; ++i) access_one(line, is_store);
-    }
-  };
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t line = (addr + k * stride) & ~line_mask_;
-    if (line == run_line) {
-      ++run_k;
-      continue;
-    }
-    if (run_k != 0) emit(run_line, run_k);
-    run_line = line;
-    run_k = 1;
-  }
-  if (run_k != 0) emit(run_line, run_k);
-  flush_bulk(acc);
-}
-
 void Engine::load_strided(std::uint64_t addr, std::uint64_t count, std::uint64_t stride_bytes,
                           std::uint32_t elem_bytes) {
   if (trace_sink_) trace_sink_->on_strided(false, addr, count, stride_bytes, elem_bytes);
-  strided_access(addr, count, stride_bytes, elem_bytes, /*is_store=*/false);
+  lane_access(addr, count, stride_bytes, elem_bytes, RangeKind::kLoad);
 }
 void Engine::store_strided(std::uint64_t addr, std::uint64_t count, std::uint64_t stride_bytes,
                            std::uint32_t elem_bytes) {
   if (trace_sink_) trace_sink_->on_strided(true, addr, count, stride_bytes, elem_bytes);
-  strided_access(addr, count, stride_bytes, elem_bytes, /*is_store=*/true);
+  lane_access(addr, count, stride_bytes, elem_bytes, RangeKind::kStore);
 }
 
-void Engine::pair_range_access(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                               std::uint32_t elem_b, std::uint64_t count, bool is_store) {
-  expects(count > 0, "paired range of zero elements");
-  expects(elem_a > 0 && elem_b > 0, "paired range with zero element size");
-  const auto slow_iter = [&](std::uint64_t k) {
-    access_span(a + k * elem_a, elem_a, is_store);
-    access_span(b + k * elem_b, elem_b, is_store);
-  };
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem_a != 0 || a % elem_a != 0 ||
-      line_bytes_ % elem_b != 0 || b % elem_b != 0) {
-    for (std::uint64_t k = 0; k < count; ++k) slow_iter(k);
-    return;
-  }
-  BulkAcc acc;
-  std::uint64_t k = 0;
-  while (k < count) {
-    const std::uint64_t addr_a = a + k * elem_a;
-    const std::uint64_t addr_b = b + k * elem_b;
-    const std::uint64_t line_a = addr_a & ~line_mask_;
-    const std::uint64_t line_b = addr_b & ~line_mask_;
-    // Iterations both streams spend in their current lines (elements are
-    // line-contained and element-aligned, so these divide exactly).
-    const std::uint64_t in_a = (line_a + line_bytes_ - addr_a) / elem_a;
-    const std::uint64_t in_b = (line_b + line_bytes_ - addr_b) / elem_b;
-    const std::uint64_t n = std::min({in_a, in_b, count - k});
-    const std::uint64_t room = cfg_.epoch_accesses - epoch_demand_accesses_;
-    if (2 * n >= room || !hierarchy_.l1_contains(line_a) ||
-        !hierarchy_.l1_contains(line_b)) {
-      // Epoch boundary nearby or a line not yet in L1: run one iteration
-      // through the exact element-wise path (which performs any fills and
-      // closes the epoch at the precise access), then re-derive the window.
-      flush_bulk(acc);
-      slow_iter(k);
-      ++k;
-      continue;
-    }
-    // Both lines are L1-resident: all 2n accesses are hits, applied as one
-    // interleaved run (A then B per iteration; B's line holds the final
-    // LRU tick, exactly as the element-wise sequence would leave it).
-    hierarchy_.l1_pair_run(line_a, line_b, is_store, n);
-    if (is_store) {
-      acc.stores += 2 * n;
-    } else {
-      acc.loads += 2 * n;
-    }
-    epoch_demand_accesses_ += 2 * n;
-    k += n;
-  }
-  flush_bulk(acc);
-}
-
-void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
-                          std::uint64_t count) {
-  expects(num_lanes > 0, "stream_range without lanes");
-  expects(count > 0, "stream_range of zero iterations");
-  if (trace_sink_) trace_sink_->on_stream(lanes, num_lanes, count);
+void Engine::stream_access(const StreamLane* lanes, std::size_t num_lanes,
+                           std::uint64_t count) {
+  expects(count > 0, "bulk access of zero elements");
   for (std::size_t i = 0; i < num_lanes; ++i)
     expects(lanes[i].op == StreamLane::Op::kFlops ||
                 (lanes[i].elem > 0 && lanes[i].stride > 0),
@@ -669,15 +554,27 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
   flush_bulk(acc);
 }
 
+void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
+                          std::uint64_t count) {
+  expects(num_lanes > 0, "stream_range without lanes");
+  expects(count > 0, "stream_range of zero iterations");
+  if (trace_sink_) trace_sink_->on_stream(lanes, num_lanes, count);
+  stream_access(lanes, num_lanes, count);
+}
+
 void Engine::load_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
                              std::uint32_t elem_b, std::uint64_t count) {
   if (trace_sink_) trace_sink_->on_pair(false, a, elem_a, b, elem_b, count);
-  pair_range_access(a, elem_a, b, elem_b, count, /*is_store=*/false);
+  const StreamLane lanes[] = {{a, elem_a, elem_a, StreamLane::Op::kLoad},
+                              {b, elem_b, elem_b, StreamLane::Op::kLoad}};
+  stream_access(lanes, 2, count);
 }
 void Engine::store_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
                               std::uint32_t elem_b, std::uint64_t count) {
   if (trace_sink_) trace_sink_->on_pair(true, a, elem_a, b, elem_b, count);
-  pair_range_access(a, elem_a, b, elem_b, count, /*is_store=*/true);
+  const StreamLane lanes[] = {{a, elem_a, elem_a, StreamLane::Op::kStore},
+                              {b, elem_b, elem_b, StreamLane::Op::kStore}};
+  stream_access(lanes, 2, count);
 }
 
 // ---- phases & epochs --------------------------------------------------------

@@ -23,13 +23,19 @@
 // ---- bulk access streams ---------------------------------------------------
 // Element-wise load()/store() is the reference instrumentation; the range
 // API (load_range/store_range/rmw_range/store_load_range, the strided and
-// paired variants) expresses the same access *sequence* declaratively so
-// the engine can execute it on a fast path: runs of consecutive accesses to
-// one cacheline are resolved with a single L1 probe and O(1) state update,
-// and their counter updates accumulate in registers until the batch ends.
-// The fast path is exact — counters, epoch boundaries, page samples, cache
-// and prefetcher state are bit-identical to the element loop each range
-// call documents (an epoch boundary falling inside a run is replayed
+// paired variants, stream_range) expresses the same access *sequence*
+// declaratively so the engine can execute it on a fast path. Two kernels
+// serve every bulk call, chosen by lane count:
+//  * one lane (the four range forms and both strided forms): lane_access
+//    walks the lane one cacheline at a time and resolves each line's run
+//    of elements with a single L1 probe and an O(1) state update;
+//  * several lanes (paired calls are two-lane streams, stream_range any
+//    number): stream_access batches whole iterations while every lane's
+//    current line is L1-resident, with one exact iteration around misses.
+// Counter updates accumulate in registers until the batch ends. Both
+// kernels are exact — counters, epoch boundaries, page samples, cache and
+// prefetcher state are bit-identical to the element loop each call
+// documents (an epoch boundary falling inside a batch is replayed
 // access-by-access). `EngineConfig::bulk_fast_path = false` forces the
 // reference decomposition; the determinism suite byte-compares the two.
 #pragma once
@@ -450,7 +456,7 @@ class Engine {
   enum class RangeKind : std::uint8_t { kLoad, kStore, kRmw, kStoreLoad };
 
   /// One demand access to a line-aligned address — the element-wise hot
-  /// path (also the exact replay primitive for batched runs).
+  /// path.
   void access_one(std::uint64_t line_addr, bool is_store) {
     const auto res = hierarchy_.access(line_addr, is_store);
     on_demand_access(line_addr, res.level);
@@ -488,16 +494,24 @@ class Engine {
     ++*hist_memo_count_;
   }
 
+  // The two bulk kernels (see the header comment): every single-lane call
+  // (the four range forms, both strided forms) runs lane_access; paired
+  // calls and stream_range run stream_access. Neither fires the trace sink.
+
+  /// `count` elements of `elem` bytes, `stride` bytes apart, each accessed
+  /// as `kind` documents (kRmw: load then store).
+  void lane_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
+                   std::uint32_t elem, RangeKind kind);
+  /// Reference decomposition of lane_access (also the bulk_fast_path=false
+  /// path and the epoch-boundary replay): the element-wise loop the public
+  /// API documents.
+  void lane_element_loop(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
+                         std::uint32_t elem, RangeKind kind);
+  /// A contiguous range form: checks whole elements, then lane_access.
   void range_access(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
                     RangeKind kind);
-  void strided_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
-                      std::uint32_t elem, bool is_store);
-  void pair_range_access(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                         std::uint32_t elem_b, std::uint64_t count, bool is_store);
-  /// Reference decomposition of a range call (also the bulk_fast_path=false
-  /// path): the element-wise loop the public API documents.
-  void range_element_loop(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                          RangeKind kind);
+  /// The interleaved multi-lane sweep stream_range documents.
+  void stream_access(const StreamLane* lanes, std::size_t num_lanes, std::uint64_t count);
   /// Batches a run of loads+stores consecutive accesses to one line.
   /// Returns false when the epoch boundary falls inside the run — the
   /// caller must flush `acc` and replay the run access-by-access.

@@ -63,6 +63,15 @@ Artifacts simulated_artifacts_of(const std::string& scenario_name,
   return out;
 }
 
+/// The default-config fig06 run with repricing off: the reference every
+/// fig06 comparison below checks its variant against. Simulated once per
+/// process (each run is a full fig06 simulation, the suite's dominant
+/// cost); every caller gets the same artifacts.
+const Artifacts& fig06_reference() {
+  static const Artifacts reference = simulated_artifacts_of("fig06", full_simulation());
+  return reference;
+}
+
 /// The staged-migration scenario exercises the full epoch-callback stack:
 /// per-scan re-pricing, budgets, demotion swaps, and charged transfer time.
 TEST(Determinism, ExtStagedMigrationArtifactsAreReproducible) {
@@ -123,7 +132,7 @@ TEST(Determinism, Fig06RangeApiMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts fast = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts& fast = fig06_reference();
   const Artifacts reference = simulated_artifacts_of("fig06", element_wise());
   EXPECT_EQ(fast.csv, reference.csv);
   EXPECT_EQ(fast.json, reference.json);
@@ -165,7 +174,7 @@ TEST(Determinism, Fig06SimdProbeMatchesForcedScalar) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts wide = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts& wide = fig06_reference();
   Artifacts scalar;
   {
     ScopedScalarProbe forced;
@@ -194,7 +203,7 @@ TEST(Determinism, Fig06QueueModelMatchesLoiModel) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts loi = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts& loi = fig06_reference();
   const Artifacts queued = simulated_artifacts_of("fig06", full_simulation(queue_model()));
   EXPECT_EQ(loi.csv, queued.csv);
   EXPECT_EQ(loi.json, queued.json);
@@ -247,7 +256,7 @@ TEST(Determinism, Fig06RepriceMatchesFullSimulation) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts full = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts& full = fig06_reference();
   Artifacts repriced;
   {
     FreshProfileCache fresh;
@@ -285,7 +294,7 @@ TEST(Determinism, Fig06RepriceUnderQueueModelMatchesLoiModel) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts loi = simulated_artifacts_of("fig06", full_simulation());
+  const Artifacts& loi = fig06_reference();
   Artifacts repriced_queue;
   {
     FreshProfileCache fresh;

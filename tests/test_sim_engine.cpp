@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/contract.h"
+#include "common/simd.h"
 #include "sim/array.h"
 #include "sim/engine.h"
 
@@ -321,8 +325,9 @@ TEST(Engine, FreeOutOfAllocationOrderMarksTheRightAllocations) {
 // Drives every bulk entry point through a fixed access script on two
 // engines — fast path on vs. the element-wise reference decomposition —
 // and requires the full observable state (all hardware counters, epoch
-// count, simulated time) to match bit-for-bit. A small epoch quantum
-// forces boundaries *inside* batched runs, covering the exact-replay path.
+// count, simulated time, page histogram, and the cache hierarchy's line
+// state and LRU order) to match bit-for-bit. A small epoch quantum forces
+// boundaries *inside* batched runs, covering the exact-replay path.
 TEST(BulkApi, FastPathBitIdenticalToElementWise) {
   const auto run = [](bool fast) {
     EngineConfig cfg;
@@ -339,8 +344,11 @@ TEST(BulkApi, FastPathBitIdenticalToElementWise) {
     eng.store_load_range(b.addr_of(0), kN * 8, 8);
     eng.load_strided(a.addr_of(0), kN / 64, 64 * 8, 8);       // column sweep
     eng.store_strided(b.addr_of(0), kN / 4, 4 * 8, 8);        // short stride
+    eng.load_strided(a.addr_of(0), kN / 3, 24, 8);            // stride not dividing the line
+    eng.store_strided(b.addr_of(0), kN * 8 / 72, 72, 8);      // stride past the line
     eng.load_pair_range(idx.addr_of(0), 4, a.addr_of(0), 8, kN);
     eng.store_pair_range(idx.addr_of(0), 4, b.addr_of(0), 8, kN);
+    eng.load_pair_range(idx.addr_of(0), 4, a.addr_of(0), 16, kN / 2);  // 16 B second lane
     using Lane = Engine::StreamLane;
     const Lane lanes[] = {
         {a.addr_of(0), 8, 8, Lane::Op::kLoad},
@@ -350,17 +358,21 @@ TEST(BulkApi, FastPathBitIdenticalToElementWise) {
         {b.addr_of(0), 8, 8, Lane::Op::kStore},  // same array twice
     };
     eng.stream_range(lanes, 5, kN / 8);
+    const Lane one_lane[] = {{b.addr_of(0), 8, 8, Lane::Op::kRmw}};
+    eng.stream_range(one_lane, 1, kN);
     eng.load_range(a.addr_of(0), kN * 8 / 48 * 48, 48);  // straddling elems: fallback
+    const std::uint64_t digest = eng.hierarchy().digest();
     eng.finish();
     return std::tuple{eng.counters(), eng.epochs().size(), eng.elapsed_seconds(),
-                      eng.page_access_histogram()};
+                      eng.page_access_histogram(), digest};
   };
-  const auto [cf, ef, tf, hf] = run(true);
-  const auto [cs, es, ts, hs] = run(false);
+  const auto [cf, ef, tf, hf, df] = run(true);
+  const auto [cs, es, ts, hs, ds] = run(false);
   EXPECT_EQ(0, std::memcmp(&cf, &cs, sizeof(cf)));
   EXPECT_EQ(ef, es);
   EXPECT_EQ(tf, ts);
   EXPECT_EQ(hf, hs);
+  EXPECT_EQ(df, ds);
 }
 
 // The range calls must count exactly like the loops they document.
@@ -383,6 +395,336 @@ TEST(BulkApi, RangeContractViolations) {
   EXPECT_THROW(eng.load_strided(a.addr_of(0), 0, 8, 8), contract_violation);
   EXPECT_THROW(eng.stream_range(nullptr, 0, 4), contract_violation);
 }
+
+// ---------- differential engine fuzzer ---------------------------------------
+// Seeded random public-API scripts, each replayed on three engines: the
+// bulk fast path, the element-wise reference decomposition, and the fast
+// path with the SIMD way probes forced scalar. All three must leave the
+// same counters, epoch records, phases, time, page histogram and cache
+// line state. Scripts name allocations by index, so one script replays
+// on any engine; the generator draws with raw mt19937_64 output (no
+// library distributions), so a seed means the same script everywhere.
+
+using Lane = Engine::StreamLane;
+
+struct FuzzLane {
+  std::uint32_t alloc = 0;  ///< index into the script's allocations
+  std::uint64_t offset = 0;
+  std::uint64_t stride = 0;
+  std::uint32_t elem = 0;
+  Lane::Op op = Lane::Op::kLoad;
+  std::uint64_t flops = 0;  ///< kFlops lanes only
+};
+
+struct FuzzOp {
+  enum class Kind : std::uint8_t {
+    kAlloc, kFree, kAccess, kRange, kStrided, kPair, kStream, kFlops, kPhase
+  };
+  Kind kind = Kind::kFlops;
+  std::uint8_t form = 0;  ///< range form 0..3; 1 = store for access/strided/pair; alloc policy
+  std::uint64_t n = 0;    ///< element/iteration count, alloc bytes, flops, freed index
+  std::vector<FuzzLane> lanes;
+};
+
+struct FuzzScript {
+  std::uint64_t epoch_accesses = 0;
+  std::uint64_t page_sample_period = 0;
+  std::uint32_t geometry = 0;
+  bool prefetch = true;
+  std::vector<FuzzOp> ops;
+};
+
+FuzzScript make_fuzz_script(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return lo + rng() % (hi - lo + 1);
+  };
+  constexpr std::uint32_t kElems[] = {1, 2, 4, 8, 16, 24, 48};
+  FuzzScript s;
+  s.epoch_accesses = pick(64, 5000);
+  s.page_sample_period = pick(1, 8);
+  s.geometry = static_cast<std::uint32_t>(pick(0, 2));
+  s.prefetch = pick(0, 3) != 0;
+
+  std::vector<std::uint64_t> bytes;  // per allocation index
+  std::vector<std::uint32_t> live;
+  const auto alloc = [&] {
+    FuzzOp op;
+    op.kind = FuzzOp::Kind::kAlloc;
+    op.n = pick(4096, 65536);
+    op.form = static_cast<std::uint8_t>(pick(0, 2));
+    live.push_back(static_cast<std::uint32_t>(bytes.size()));
+    bytes.push_back(op.n);
+    s.ops.push_back(op);
+  };
+  // A lane of up to `count` elements inside a live allocation; shrinks
+  // `count` when the span would overrun it. Mostly element-aligned so the
+  // fast paths engage, sometimes not so the fallbacks do.
+  const auto lane = [&](std::uint64_t& count, bool contiguous) {
+    FuzzLane ln;
+    ln.alloc = live[pick(0, live.size() - 1)];
+    ln.elem = kElems[pick(0, 6)];
+    if (contiguous) {
+      ln.stride = ln.elem;
+    } else {
+      ln.stride = pick(0, 1) != 0 ? ln.elem * pick(1, 12) : pick(1, 200);
+    }
+    const std::uint64_t size = bytes[ln.alloc];
+    count = std::min(count, (size - ln.elem) / ln.stride + 1);
+    const std::uint64_t slack = size - ((count - 1) * ln.stride + ln.elem);
+    ln.offset = pick(0, slack);
+    if (pick(0, 3) != 0) ln.offset -= ln.offset % ln.elem;
+    return ln;
+  };
+
+  alloc();
+  alloc();
+  bool phase_open = false;
+  for (int i = 0; i < 200; ++i) {
+    FuzzOp op;
+    op.n = pick(1, 600);
+    switch (pick(0, 11)) {
+      case 0:
+        if (live.size() < 6) {
+          alloc();
+          continue;
+        }
+        [[fallthrough]];
+      case 1: {
+        if (live.size() < 2) continue;
+        const std::size_t victim = pick(0, live.size() - 1);
+        op.kind = FuzzOp::Kind::kFree;
+        op.n = live[victim];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        break;
+      }
+      case 2:
+        op.kind = FuzzOp::Kind::kAccess;
+        op.form = static_cast<std::uint8_t>(pick(0, 1));
+        op.n = 1;
+        op.lanes.push_back(lane(op.n, true));
+        break;
+      case 3:
+      case 4:
+        op.kind = FuzzOp::Kind::kRange;
+        op.form = static_cast<std::uint8_t>(pick(0, 3));
+        op.lanes.push_back(lane(op.n, true));
+        break;
+      case 5:
+        op.kind = FuzzOp::Kind::kStrided;
+        op.form = static_cast<std::uint8_t>(pick(0, 1));
+        op.lanes.push_back(lane(op.n, false));
+        break;
+      case 6:
+        op.kind = FuzzOp::Kind::kPair;
+        op.form = static_cast<std::uint8_t>(pick(0, 1));
+        op.lanes.push_back(lane(op.n, true));
+        op.lanes.push_back(lane(op.n, true));
+        break;
+      case 7:
+      case 8: {
+        op.kind = FuzzOp::Kind::kStream;
+        const std::uint64_t num_lanes = pick(1, 6);
+        for (std::uint64_t l = 0; l < num_lanes; ++l) {
+          FuzzLane ln;
+          const std::uint64_t kind = pick(0, 4);
+          if (kind == 4) {
+            ln.op = Lane::Op::kFlops;
+            ln.flops = pick(0, 16);
+          } else {
+            ln = lane(op.n, pick(0, 2) != 0);
+            ln.op = kind == 3 ? Lane::Op::kRmw : static_cast<Lane::Op>(kind % 3);
+          }
+          op.lanes.push_back(ln);
+        }
+        // Lanes drawn before a later one shrank the count still fit: a
+        // shorter sweep only ends earlier.
+        break;
+      }
+      case 9:
+        op.kind = FuzzOp::Kind::kFlops;
+        break;
+      default:
+        op.kind = FuzzOp::Kind::kPhase;
+        phase_open = !phase_open;
+        break;
+    }
+    s.ops.push_back(op);
+  }
+  if (phase_open) {
+    FuzzOp op;
+    op.kind = FuzzOp::Kind::kPhase;
+    s.ops.push_back(op);
+  }
+  return s;
+}
+
+struct FuzzResult {
+  cachesim::HwCounters counters;
+  std::vector<EpochRecord> epochs;
+  std::vector<PhaseRecord> phases;
+  double elapsed_s = 0.0;
+  std::uint64_t flops = 0;
+  std::unordered_map<std::uint64_t, std::uint64_t> histogram;
+  std::uint64_t digest_before_finish = 0;
+  std::uint64_t digest_after_finish = 0;
+};
+
+FuzzResult run_fuzz_script(const FuzzScript& s, bool bulk_fast_path) {
+  EngineConfig cfg;
+  cfg.epoch_accesses = s.epoch_accesses;
+  cfg.page_sample_period = s.page_sample_period;
+  cfg.bulk_fast_path = bulk_fast_path;
+  if (s.geometry == 1) {  // small power-of-two caches: evictions on short scripts
+    cfg.hierarchy.l1 = {4096, 4, 64};
+    cfg.hierarchy.l2 = {16384, 8, 64};
+    cfg.hierarchy.l3 = {65536, 16, 64};
+  } else if (s.geometry == 2) {  // odd way counts: the SIMD scans' tails
+    cfg.hierarchy.l1 = {6144, 12, 64};
+    cfg.hierarchy.l2 = {20480, 10, 64};
+    cfg.hierarchy.l3 = {98304, 24, 64};
+  }
+  cfg.hierarchy.prefetcher.enabled = s.prefetch;
+  Engine eng(cfg);
+  std::vector<memsim::VRange> ranges;
+  const auto addr = [&ranges](const FuzzLane& ln) { return ranges[ln.alloc].base + ln.offset; };
+  int phase = 0;
+  bool phase_open = false;
+  for (const FuzzOp& op : s.ops) {
+    switch (op.kind) {
+      case FuzzOp::Kind::kAlloc: {
+        const memsim::MemPolicy policies[] = {memsim::MemPolicy::first_touch(),
+                                              memsim::MemPolicy::bind_pool(),
+                                              memsim::MemPolicy::interleave(1, 1)};
+        ranges.push_back(eng.alloc(op.n, policies[op.form]));
+        break;
+      }
+      case FuzzOp::Kind::kFree:
+        eng.free(ranges[op.n]);
+        break;
+      case FuzzOp::Kind::kAccess:
+        if (op.form != 0) {
+          eng.store(addr(op.lanes[0]), op.lanes[0].elem);
+        } else {
+          eng.load(addr(op.lanes[0]), op.lanes[0].elem);
+        }
+        break;
+      case FuzzOp::Kind::kRange: {
+        const FuzzLane& ln = op.lanes[0];
+        const std::uint64_t bytes = op.n * ln.elem;
+        switch (op.form) {
+          case 0: eng.load_range(addr(ln), bytes, ln.elem); break;
+          case 1: eng.store_range(addr(ln), bytes, ln.elem); break;
+          case 2: eng.rmw_range(addr(ln), bytes, ln.elem); break;
+          default: eng.store_load_range(addr(ln), bytes, ln.elem); break;
+        }
+        break;
+      }
+      case FuzzOp::Kind::kStrided: {
+        const FuzzLane& ln = op.lanes[0];
+        if (op.form != 0) {
+          eng.store_strided(addr(ln), op.n, ln.stride, ln.elem);
+        } else {
+          eng.load_strided(addr(ln), op.n, ln.stride, ln.elem);
+        }
+        break;
+      }
+      case FuzzOp::Kind::kPair: {
+        const FuzzLane& a = op.lanes[0];
+        const FuzzLane& b = op.lanes[1];
+        if (op.form != 0) {
+          eng.store_pair_range(addr(a), a.elem, addr(b), b.elem, op.n);
+        } else {
+          eng.load_pair_range(addr(a), a.elem, addr(b), b.elem, op.n);
+        }
+        break;
+      }
+      case FuzzOp::Kind::kStream: {
+        std::vector<Lane> lanes;
+        for (const FuzzLane& ln : op.lanes) {
+          if (ln.op == Lane::Op::kFlops) {
+            lanes.push_back({ln.flops, 0, 0, Lane::Op::kFlops});
+          } else {
+            lanes.push_back({addr(ln), ln.stride, ln.elem, ln.op});
+          }
+        }
+        eng.stream_range(lanes.data(), lanes.size(), op.n);
+        break;
+      }
+      case FuzzOp::Kind::kFlops:
+        eng.flops(op.n);
+        break;
+      case FuzzOp::Kind::kPhase:
+        if (phase_open) {
+          eng.pf_stop();
+        } else {
+          eng.pf_start("p" + std::to_string(phase++));
+        }
+        phase_open = !phase_open;
+        break;
+    }
+  }
+  FuzzResult r;
+  r.digest_before_finish = eng.hierarchy().digest();
+  eng.finish();
+  r.digest_after_finish = eng.hierarchy().digest();
+  r.counters = eng.counters();
+  r.epochs = eng.epochs();
+  r.phases = eng.phases();
+  r.elapsed_s = eng.elapsed_seconds();
+  r.flops = eng.total_flops();
+  r.histogram = eng.page_access_histogram();
+  return r;
+}
+
+void expect_same_run(const FuzzResult& a, const FuzzResult& b) {
+  EXPECT_EQ(0, std::memcmp(&a.counters, &b.counters, sizeof(a.counters)));
+  const auto epoch_fields = [](const EpochRecord& e) {
+    return std::tie(e.start_s, e.duration_s, e.phase, e.flops, e.tier_bytes, e.tier_demand,
+                    e.l2_lines_in, e.link_traffic_gbps, e.link_utilization, e.migration_s,
+                    e.resident_bytes, e.link_loi, e.link_demand_mult,
+                    e.link_demand_inflation, e.migration_bytes);
+  };
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (std::size_t i = 0; i < a.epochs.size(); ++i)
+    EXPECT_TRUE(epoch_fields(a.epochs[i]) == epoch_fields(b.epochs[i])) << "epoch " << i;
+  const auto phase_fields = [](const PhaseRecord& p) {
+    return std::tie(p.tag, p.time_s, p.flops, p.epoch_begin, p.epoch_end);
+  };
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    EXPECT_TRUE(phase_fields(a.phases[i]) == phase_fields(b.phases[i])) << "phase " << i;
+    EXPECT_EQ(0, std::memcmp(&a.phases[i].counters, &b.phases[i].counters,
+                             sizeof(a.phases[i].counters)));
+  }
+  EXPECT_EQ(a.elapsed_s, b.elapsed_s);
+  EXPECT_EQ(a.flops, b.flops);
+  EXPECT_EQ(a.histogram, b.histogram);
+  EXPECT_EQ(a.digest_before_finish, b.digest_before_finish);
+  EXPECT_EQ(a.digest_after_finish, b.digest_after_finish);
+}
+
+class EngineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineFuzz, BulkScalarAndElementWiseRunsAgree) {
+  const FuzzScript script = make_fuzz_script(GetParam());
+  const FuzzResult fast = run_fuzz_script(script, true);
+  EXPECT_GT(fast.counters.accesses(), 0u);
+  {
+    SCOPED_TRACE("bulk vs element-wise");
+    expect_same_run(fast, run_fuzz_script(script, false));
+  }
+  {
+    SCOPED_TRACE("SIMD vs forced-scalar probes");
+    const bool saved = simd_enabled();
+    set_simd_enabled(false);
+    const FuzzResult scalar = run_fuzz_script(script, true);
+    set_simd_enabled(saved);
+    expect_same_run(fast, scalar);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace memdis::sim

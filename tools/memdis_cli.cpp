@@ -643,6 +643,14 @@ int cmd_fleet(const Args& args) {
     }
     arrivals = std::move(*loaded);
   }
+  // run_fleet walks idle time one --step at a time, so an arrival in the
+  // far future would spin for ages (arrivals are time-sorted).
+  constexpr double kMaxSteps = 1e8;
+  if (!arrivals.empty() && arrivals.back().time_s / cfg.step_s > kMaxSteps) {
+    std::cerr << "error: --arrivals: last arrival at " << arrivals.back().time_s
+              << " s lies beyond the 1e8-step horizon of --step " << cfg.step_s << " s\n";
+    return 2;
+  }
 
   std::cout << "fleet: " << arrivals.size() << " arrivals over " << cfg.pools.size()
             << " pool(s) (" << args.pool_nodes << " nodes, " << Table::num(args.pool_gb, 0)
